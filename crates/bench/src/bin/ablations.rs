@@ -11,7 +11,7 @@
 
 use lmi_alloc::{AlignmentPolicy, GlobalAllocator};
 use lmi_baselines::GpuShield;
-use lmi_bench::{cycles, print_row, Mechanism};
+use lmi_bench::{print_row, Mechanism, Sweep};
 use lmi_core::{DevicePtr, LivenessTracker, PtrConfig};
 use lmi_mem::layout;
 use lmi_sim::{Gpu, GpuConfig, LmiMechanism};
@@ -21,20 +21,40 @@ fn spec(name: &str) -> lmi_workloads::WorkloadSpec {
     all_workloads().into_iter().find(|w| w.name == name).unwrap()
 }
 
+/// The phase-averaged cycle counts the ablations normalize against.
+const MEASURED: [(&str, Mechanism); 8] = [
+    ("LSTM", Mechanism::Baseline),
+    ("gaussian", Mechanism::Baseline),
+    ("bert", Mechanism::Baseline),
+    ("needle", Mechanism::Baseline),
+    ("bfs", Mechanism::Baseline),
+    ("bert", Mechanism::Lmi),
+    ("bfs", Mechanism::Lmi),
+    ("needle", Mechanism::Lmi),
+];
+
 fn main() {
-    ablation_verdict_overlap();
+    // One sweep measures every reference, each spec's baseline once.
+    let mut sweep = Sweep::new();
+    let cells: Vec<_> = MEASURED.iter().map(|&(name, m)| sweep.cycles(&spec(name), m)).collect();
+    let runs = sweep.run();
+    let cycles = |name: &str, m: Mechanism| {
+        let i = MEASURED.iter().position(|&k| k == (name, m)).expect("measured up front");
+        cells[i].value(&runs)
+    };
+    ablation_verdict_overlap(&cycles);
     ablation_min_alignment();
-    ablation_rcache_capacity();
+    ablation_rcache_capacity(&cycles);
     ablation_page_invalidation();
-    ablation_statelessness();
+    ablation_statelessness(&cycles);
 }
 
-fn ablation_verdict_overlap() {
+fn ablation_verdict_overlap(cycles: &dyn Fn(&str, Mechanism) -> f64) {
     println!("== Ablation 1: OCU verdict / LSU overlap ==\n");
     print_row("workload", &["overlap=3".into(), "overlap=1".into(), "overlap=0".into()]);
     for name in ["LSTM", "gaussian", "bert"] {
         let w = spec(name);
-        let base = cycles(&w, Mechanism::Baseline);
+        let base = cycles(name, Mechanism::Baseline);
         let cols: Vec<String> = [3u32, 1, 0]
             .iter()
             .map(|&overlap| {
@@ -85,10 +105,10 @@ fn ablation_min_alignment() {
     println!("(K = 256 B is the paper's choice: 5 extent bits, 18.7% fragmentation)\n");
 }
 
-fn ablation_rcache_capacity() {
+fn ablation_rcache_capacity(cycles: &dyn Fn(&str, Mechanism) -> f64) {
     println!("== Ablation 3: GPUShield RCache capacity on needle ==\n");
     let w = spec("needle");
-    let base = cycles(&w, Mechanism::Baseline);
+    let base = cycles("needle", Mechanism::Baseline);
     print_row("RCache entries", &["normalized time".into(), "miss rate".into()]);
     for entries in [8u64, 16, 28, 40, 64] {
         let prepared = prepare(&w, AlignmentPolicy::CudaDefault);
@@ -162,13 +182,13 @@ fn ablation_page_invalidation() {
     println!();
 }
 
-fn ablation_statelessness() {
+fn ablation_statelessness(cycles: &dyn Fn(&str, Mechanism) -> f64) {
     println!("== Ablation 5: in-pointer metadata vs in-memory metadata (§IV-B1) ==\n");
     print_row("workload", &["LMI (stateless)".into(), "bounds table, no cache".into()]);
     for name in ["bert", "bfs", "needle"] {
         let w = spec(name);
-        let base = cycles(&w, Mechanism::Baseline);
-        let lmi = cycles(&w, Mechanism::Lmi);
+        let base = cycles(name, Mechanism::Baseline);
+        let lmi = cycles(name, Mechanism::Lmi);
         // The strawman: every global access fetches its bounds entry from
         // memory (GPUShield with a zero-entry RCache).
         let prepared = prepare(&w, AlignmentPolicy::CudaDefault);

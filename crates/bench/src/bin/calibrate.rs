@@ -2,7 +2,7 @@
 //! representative workloads so mechanism parameters can be tuned against
 //! the paper's targets before running the full figure harnesses.
 
-use lmi_bench::{normalized, print_row, Mechanism};
+use lmi_bench::{print_row, Mechanism, Sweep};
 use lmi_workloads::all_workloads;
 
 fn main() {
@@ -23,17 +23,23 @@ fn main() {
             .map(|s| s.to_string())
             .collect::<Vec<_>>(),
     );
-    for w in picks {
-        let cols = [
-            Mechanism::Lmi,
-            Mechanism::GpuShield,
-            Mechanism::BaggySoftware,
-            Mechanism::LmiDbi,
-            Mechanism::Memcheck,
-        ]
+    let mut sweep = Sweep::new();
+    let cells: Vec<_> = picks
         .iter()
-        .map(|&m| format!("{:.4}", normalized(w, m)))
-        .collect::<Vec<_>>();
+        .map(|w| {
+            [
+                Mechanism::Lmi,
+                Mechanism::GpuShield,
+                Mechanism::BaggySoftware,
+                Mechanism::LmiDbi,
+                Mechanism::Memcheck,
+            ]
+            .map(|m| sweep.normalized(w, m))
+        })
+        .collect();
+    let runs = sweep.run();
+    for (w, row) in picks.iter().zip(&cells) {
+        let cols = row.iter().map(|c| format!("{:.4}", c.value(&runs))).collect::<Vec<_>>();
         print_row(w.name, &cols);
     }
 }

@@ -4,17 +4,22 @@
 //! loads/stores.
 
 use lmi_bench::report::{self, ReportOpts};
-use lmi_bench::{print_row, run_workload, Mechanism};
+use lmi_bench::{print_row, Mechanism, Sweep};
 use lmi_isa::MemSpace;
 use lmi_telemetry::Json;
 use lmi_workloads::all_workloads;
 
 fn main() {
     let opts = ReportOpts::from_env();
-    let rows: Vec<(&'static str, [f64; 3])> = all_workloads()
+    let specs = all_workloads();
+    let mut sweep = Sweep::new();
+    let ids: Vec<usize> = specs.iter().map(|spec| sweep.stats(spec, Mechanism::Baseline)).collect();
+    let runs = sweep.run();
+    let rows: Vec<(&'static str, [f64; 3])> = specs
         .iter()
-        .map(|spec| {
-            let stats = run_workload(spec, Mechanism::Baseline);
+        .zip(ids)
+        .map(|(spec, id)| {
+            let stats = &runs[id];
             (
                 spec.name,
                 [

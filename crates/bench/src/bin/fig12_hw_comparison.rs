@@ -3,21 +3,27 @@
 //! the 28 Table V benchmarks on the simulator.
 
 use lmi_bench::report::{self, ReportOpts};
-use lmi_bench::{geomean, mean, normalized, print_row, Mechanism};
+use lmi_bench::{geomean, mean, print_row, Mechanism, Sweep};
 use lmi_telemetry::Json;
 use lmi_workloads::all_workloads;
 
 fn main() {
     let opts = ReportOpts::from_env();
-    let rows: Vec<(&'static str, f64, f64, f64)> = all_workloads()
+    let specs = all_workloads();
+    let mut sweep = Sweep::new();
+    let cells: Vec<_> = specs
         .iter()
         .map(|spec| {
-            (
-                spec.name,
-                normalized(spec, Mechanism::BaggySoftware),
-                normalized(spec, Mechanism::GpuShield),
-                normalized(spec, Mechanism::Lmi),
-            )
+            [Mechanism::BaggySoftware, Mechanism::GpuShield, Mechanism::Lmi]
+                .map(|m| sweep.normalized(spec, m))
+        })
+        .collect();
+    let runs = sweep.run();
+    let rows: Vec<(&'static str, f64, f64, f64)> = specs
+        .iter()
+        .zip(&cells)
+        .map(|(spec, [baggy, shield, lmi])| {
+            (spec.name, baggy.value(&runs), shield.value(&runs), lmi.value(&runs))
         })
         .collect();
     let baggy_all: Vec<f64> = rows.iter().map(|r| r.1).collect();

@@ -9,20 +9,33 @@
 
 use lmi_baselines::dbi::check_site_counts;
 use lmi_bench::report::{self, ReportOpts};
-use lmi_bench::{geomean, normalized, print_row, Mechanism};
+use lmi_bench::{geomean, print_row, Mechanism, Sweep};
 use lmi_telemetry::Json;
 use lmi_workloads::{all_workloads, generate, Suite};
 
 fn main() {
     let opts = ReportOpts::from_env();
-    let rows: Vec<(&'static str, f64, f64, f64)> = all_workloads()
-        .iter()
+    let specs: Vec<_> = all_workloads()
+        .into_iter()
         .filter(|spec| spec.suite != Suite::Ad) // excluded in the paper (footnote 1)
-        .map(|spec| {
-            let lmi_dbi = normalized(spec, Mechanism::LmiDbi);
-            let memcheck = normalized(spec, Mechanism::Memcheck);
+        .collect();
+    let mut sweep = Sweep::new();
+    let cells: Vec<_> = specs
+        .iter()
+        .map(|spec| [Mechanism::LmiDbi, Mechanism::Memcheck].map(|m| sweep.normalized(spec, m)))
+        .collect();
+    let runs = sweep.run();
+    let rows: Vec<(&'static str, f64, f64, f64)> = specs
+        .iter()
+        .zip(&cells)
+        .map(|(spec, [lmi_dbi, memcheck])| {
             let (sites, mem_sites) = check_site_counts(&generate(spec));
-            (spec.name, lmi_dbi, memcheck, sites as f64 / mem_sites as f64)
+            (
+                spec.name,
+                lmi_dbi.value(&runs),
+                memcheck.value(&runs),
+                sites as f64 / mem_sites as f64,
+            )
         })
         .collect();
     let lmi_all: Vec<f64> = rows.iter().map(|r| r.1).collect();

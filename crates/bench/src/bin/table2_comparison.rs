@@ -3,7 +3,7 @@
 //! from this reproduction's own measurements.
 
 use lmi_bench::report::{self, ReportOpts};
-use lmi_bench::{mean, normalized, print_row, Mechanism};
+use lmi_bench::{mean, print_row, Mechanism, Sweep};
 use lmi_security::table::{coverage, run_matrix};
 use lmi_telemetry::Json;
 use lmi_workloads::all_workloads;
@@ -125,11 +125,14 @@ fn main() {
     let lmi_col = 3;
     let (sd, st) = coverage(&matrix, lmi_col, true);
     let (td, tt) = coverage(&matrix, lmi_col, false);
-    let sample: Vec<f64> = all_workloads()
+    let mut sweep = Sweep::new();
+    let cells: Vec<_> = all_workloads()
         .iter()
         .filter(|w| ["hotspot", "bert", "lud_cuda", "srad_v1"].contains(&w.name))
-        .map(|w| normalized(w, Mechanism::Lmi) - 1.0)
+        .map(|w| sweep.normalized(w, Mechanism::Lmi))
         .collect();
+    let runs = sweep.run();
+    let sample: Vec<f64> = cells.iter().map(|c| c.value(&runs) - 1.0).collect();
     rows.push(Row {
         name: "LMI (this repo)",
         target: "GPU",

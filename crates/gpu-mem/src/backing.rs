@@ -1,9 +1,12 @@
 //! Sparse functional byte store.
 //!
 //! The timing model ([`crate::hierarchy`]) decides *when* data arrives; this
-//! store decides *what* the data is. It is sparse (4 KiB pages allocated on
+//! store decides *what* the data is. It is sparse (1 KiB pages allocated on
 //! first touch) so per-thread local windows and large arenas cost nothing
-//! until used.
+//! until used. Pages are small because the common sparse toucher is a
+//! thread's stack: one store into each of a launch's thousands of 64 KiB
+//! local windows makes one page per thread resident, and at 1 KiB that
+//! costs a quarter of what 4 KiB pages would.
 //!
 //! The store is on the simulator's per-access hot path (every functional
 //! load/store lands here), so it is organized for throughput: the page table
@@ -16,7 +19,7 @@ use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-const PAGE_SHIFT: u32 = 12;
+const PAGE_SHIFT: u32 = 10;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// Sentinel page number for an empty last-page cache (no real page can use
 /// it: it would need an address beyond the 64-bit space).
@@ -27,7 +30,9 @@ const NO_PAGE: u64 = u64::MAX;
 pub struct SparseMemory {
     /// Page number → slot in `store`.
     table: HashMap<u64, u32>,
-    /// Dense page arena; slots are stable once allocated.
+    /// Dense page arena; slots are stable once allocated. Pages are boxed
+    /// so growing the arena moves pointers, not page contents.
+    #[allow(clippy::vec_box)]
     store: Vec<Box<[u8; PAGE_SIZE]>>,
     /// Last `(page number, slot)` touched. A `Cell` so reads can refresh it;
     /// slots are stable, so a stale entry can only be `NO_PAGE`, never wrong.
@@ -183,7 +188,7 @@ impl SparseMemory {
         }
     }
 
-    /// Number of 4 KiB pages materialized so far.
+    /// Number of pages (`PAGE_SIZE` bytes each) materialized so far.
     pub fn resident_pages(&self) -> usize {
         self.store.len()
     }
@@ -212,7 +217,7 @@ mod tests {
     #[test]
     fn writes_spanning_pages_work() {
         let mut m = SparseMemory::new();
-        let addr = (1 << 12) - 4; // last 4 bytes of page 0
+        let addr = PAGE_SIZE as u64 - 4; // last 4 bytes of page 0
         m.write(addr, 0xAABB_CCDD_EEFF_0011, 8);
         assert_eq!(m.read(addr, 8), 0xAABB_CCDD_EEFF_0011);
         assert_eq!(m.resident_pages(), 2);
@@ -237,34 +242,53 @@ mod tests {
     #[test]
     fn fill_spanning_pages_sets_every_byte() {
         let mut m = SparseMemory::new();
-        let addr = (1 << 12) - 8;
-        m.fill(addr, 4096 + 16, 0xAB);
+        let page = PAGE_SIZE as u64;
+        // 8 bytes of page 0, all of page 1, 8 bytes of page 2.
+        let addr = page - 8;
+        m.fill(addr, page + 16, 0xAB);
+        assert_eq!(m.read_u8(addr - 1), 0);
         assert_eq!(m.read_u8(addr), 0xAB);
-        assert_eq!(m.read_u8(addr + 4096 + 15), 0xAB);
-        assert_eq!(m.read_u8(addr + 4096 + 16), 0);
+        assert_eq!(m.read_u8(addr + page + 15), 0xAB);
+        assert_eq!(m.read_u8(addr + page + 16), 0);
         assert_eq!(m.resident_pages(), 3);
     }
 
     #[test]
     fn bulk_bytes_round_trip_across_pages() {
         let mut m = SparseMemory::new();
-        let addr = (1 << 12) * 3 - 100;
-        let data: Vec<u8> = (0..300u32).map(|i| (i * 7) as u8).collect();
+        // 100 bytes before a page boundary, and more than a page after it.
+        let addr = PAGE_SIZE as u64 * 3 - 100;
+        let data: Vec<u8> = (0..(PAGE_SIZE as u32 + 300)).map(|i| (i * 7) as u8).collect();
         m.write_bytes(addr, &data);
-        let mut back = vec![0u8; 300];
+        let mut back = vec![0u8; data.len()];
         m.read_bytes(addr, &mut back);
         assert_eq!(back, data);
+        assert_eq!(m.resident_pages(), 3);
         // A hole between pages reads zero.
         let mut hole = [0xFFu8; 8];
-        m.read_bytes(0x9_0000, &mut hole);
+        m.read_bytes(PAGE_SIZE as u64 * 64, &mut hole);
         assert_eq!(hole, [0; 8]);
+    }
+
+    /// A launch's stacks: one word into each of 2048 threads' 64 KiB local
+    /// windows (8 SMs × 256 threads) makes one page per window resident,
+    /// and must stay within 2 MiB.
+    #[test]
+    fn sparse_stack_touches_stay_small() {
+        use crate::layout::{local_window_base, DEFAULT_STACK_BYTES};
+        let mut m = SparseMemory::new();
+        for tid in 0..2048 {
+            m.write(local_window_base(tid, DEFAULT_STACK_BYTES), tid, 8);
+        }
+        assert_eq!(m.resident_pages(), 2048);
+        assert!(m.resident_pages() * PAGE_SIZE <= 2 << 20, "{} pages", m.resident_pages());
     }
 
     #[test]
     fn clone_preserves_contents_and_cache_stays_coherent() {
         let mut m = SparseMemory::new();
         m.write(0x5000, 0x1234, 4);
-        m.write(0x7000, 0x5678, 4); // cache now points at page 0x7
+        m.write(0x7000, 0x5678, 4); // cache now points at 0x7000's page
         let c = m.clone();
         assert_eq!(c.read(0x5000, 4), 0x1234);
         assert_eq!(c.read(0x7000, 4), 0x5678);

@@ -27,7 +27,7 @@ impl Suite {
 }
 
 /// A synthetic benchmark specification.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Benchmark name (Table V).
     pub name: &'static str,
