@@ -7,7 +7,7 @@
 //! are not wrapped at all (paper Table III: GMOD detects 1 of 21 spatial
 //! cases). Invalid-free/double-free detection comes from the allocator.
 
-use lmi_mem::{BankedMemory, SparseMemory};
+use lmi_mem::SparseMemory;
 
 /// Canary region size on each side of a buffer.
 pub const CANARY_BYTES: u64 = 64;
@@ -31,38 +31,6 @@ impl GuardedBuffer {
     }
 }
 
-/// A functional store canaries can be painted into and scanned back out
-/// of — implemented by the flat [`SparseMemory`] and by the simulator's
-/// address-interleaved [`BankedMemory`], so the same canary bookkeeping
-/// serves both the model-level defenses and live simulator runs in the
-/// conformance oracle.
-pub trait CanaryMemory {
-    /// Fills `len` bytes at `addr` with `byte`.
-    fn fill_bytes(&mut self, addr: u64, len: u64, byte: u8);
-    /// Reads `out.len()` bytes starting at `addr`.
-    fn read_into(&self, addr: u64, out: &mut [u8]);
-}
-
-impl CanaryMemory for SparseMemory {
-    fn fill_bytes(&mut self, addr: u64, len: u64, byte: u8) {
-        self.fill(addr, len, byte);
-    }
-
-    fn read_into(&self, addr: u64, out: &mut [u8]) {
-        self.read_bytes(addr, out);
-    }
-}
-
-impl CanaryMemory for BankedMemory {
-    fn fill_bytes(&mut self, addr: u64, len: u64, byte: u8) {
-        self.fill(addr, len, byte);
-    }
-
-    fn read_into(&self, addr: u64, out: &mut [u8]) {
-        self.read_bytes(addr, out);
-    }
-}
-
 /// Canary bookkeeping for one kernel run.
 #[derive(Debug, Default)]
 pub struct CanaryAllocator {
@@ -78,20 +46,20 @@ impl CanaryAllocator {
     /// Wraps the buffer at `base` with canaries, painting the guard bytes
     /// into `memory`. `base` must leave `CANARY_BYTES` of headroom (the
     /// canary allocator reserves it when placing buffers).
-    pub fn guard(&mut self, memory: &mut impl CanaryMemory, base: u64, size: u64) {
-        memory.fill_bytes(base - CANARY_BYTES, CANARY_BYTES, CANARY_PATTERN);
-        memory.fill_bytes(base + size, CANARY_BYTES, CANARY_PATTERN);
+    pub fn guard(&mut self, memory: &mut SparseMemory, base: u64, size: u64) {
+        memory.fill(base - CANARY_BYTES, CANARY_BYTES, CANARY_PATTERN);
+        memory.fill(base + size, CANARY_BYTES, CANARY_PATTERN);
         self.buffers.push(GuardedBuffer { base, size });
     }
 
     /// The synchronization-point scan: returns the buffers whose canaries
     /// were damaged (detected adjacent overflows).
-    pub fn scan(&self, memory: &impl CanaryMemory) -> Vec<GuardedBuffer> {
+    pub fn scan(&self, memory: &SparseMemory) -> Vec<GuardedBuffer> {
         let mut detected = Vec::new();
         for buf in &self.buffers {
             let damaged = |start: u64| {
                 let mut guard = [0u8; CANARY_BYTES as usize];
-                memory.read_into(start, &mut guard);
+                memory.read_bytes(start, &mut guard);
                 guard.iter().any(|&b| b != CANARY_PATTERN)
             };
             if damaged(buf.base - CANARY_BYTES) || damaged(buf.base + buf.size) {

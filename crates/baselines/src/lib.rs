@@ -31,7 +31,7 @@ pub mod gpushield;
 pub mod instrument;
 
 pub use baggy::instrument_baggy;
-pub use canary::{CanaryAllocator, CanaryMemory};
+pub use canary::CanaryAllocator;
 pub use cucatch::CuCatch;
 pub use dbi::{instrument_lmi_dbi, instrument_memcheck, JIT_OVERHEAD};
 pub use gpushield::GpuShield;

@@ -8,16 +8,15 @@
 //!
 //! ```text
 //! fuzz [--quick] [--cases N] [--seed S] [--json] [--corpus DIR]
-//!      [--full-matrix] [--mask-defect CLASS]
+//!      [--mask-defect CLASS]
 //! ```
 //!
-//! * `--quick` — 200 cases on the reduced engine matrix (the CI smoke).
+//! * `--quick` — 200 cases (the CI smoke).
 //! * `--cases N` — explicit case budget (a case = one oracle invocation).
 //! * `--seed S` — base seed (default 3405691582).
 //! * `--json` — machine-readable report envelope on stdout.
 //! * `--corpus DIR` — replay `*.json` cases from DIR first; persist any
 //!   new failing case there.
-//! * `--full-matrix` — all four engine points instead of the quick two.
 //! * `--mask-defect CLASS` — treat LMI detections of CLASS as unexpected
 //!   (manufactures failures; exercises the shrinker end to end).
 
@@ -39,19 +38,12 @@ struct Opts {
     seed: u64,
     json: bool,
     corpus: Option<String>,
-    full_matrix: bool,
     masked: Option<DefectClass>,
 }
 
 fn parse_opts() -> Result<Opts, String> {
-    let mut opts = Opts {
-        cases: DEFAULT_CASES,
-        seed: DEFAULT_SEED,
-        json: false,
-        corpus: None,
-        full_matrix: false,
-        masked: None,
-    };
+    let mut opts =
+        Opts { cases: DEFAULT_CASES, seed: DEFAULT_SEED, json: false, corpus: None, masked: None };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -66,7 +58,6 @@ fn parse_opts() -> Result<Opts, String> {
             }
             "--json" => opts.json = true,
             "--corpus" => opts.corpus = Some(args.next().ok_or("--corpus needs a directory")?),
-            "--full-matrix" => opts.full_matrix = true,
             "--mask-defect" => {
                 let v = args.next().ok_or("--mask-defect needs a class")?;
                 opts.masked = Some(
@@ -221,7 +212,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut cfg = if opts.full_matrix { OracleConfig::full() } else { OracleConfig::quick() };
+    let mut cfg = OracleConfig::quick();
     cfg.masked = opts.masked;
 
     if let Some(dir) = &opts.corpus {
@@ -284,12 +275,8 @@ fn main() -> ExitCode {
                 Json::obj().with("injected", t.injected).with("detected_by_lmi", t.detected_by_lmi),
             );
         }
-        let points: Vec<Json> = session
-            .cfg
-            .points
-            .iter()
-            .map(|p| Json::obj().with("sim_threads", p.sim_threads).with("mem_banks", p.mem_banks))
-            .collect();
+        let points: Vec<Json> =
+            session.cfg.points.iter().map(|p| Json::obj().with("traced", p.traced)).collect();
         let failures: Vec<Json> = session
             .failures
             .iter()

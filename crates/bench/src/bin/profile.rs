@@ -21,8 +21,8 @@
 //! * `--top`    — hot PCs shown per kernel (default 5).
 //!
 //! Profiles are deterministic: the sampling hook runs on simulated
-//! cycles and merges in the engine's apply phase, so this report is
-//! bit-identical at any `LMI_SIM_THREADS`.
+//! cycles and merges in the engine's phase B, so this report is
+//! bit-identical from run to run.
 
 use std::collections::BTreeMap;
 

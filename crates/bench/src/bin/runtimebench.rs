@@ -13,10 +13,7 @@
 //! The headline metric is **simulated cycles** (overlap speedup =
 //! serial / concurrent), which is host-independent — wall-clock numbers
 //! are recorded but secondary, since simulated time is what the
-//! deterministic engine actually models. Every mix additionally runs at
-//! `sim_threads` ∈ {1, 2} (plus 8 in full mode) and asserts the whole
-//! `RuntimeReport`, every counter, and all event stamps bit-identical —
-//! the benchmark doubles as a determinism check on the runtime layer.
+//! deterministic engine actually models.
 //!
 //! Usage: `runtimebench [--quick] [--json] [--out PATH]`
 //!
@@ -99,32 +96,6 @@ fn latency_json(snap: &MetricsSnapshot) -> Json {
         .with("queue_p99", queue.map(|h| h.p99()).unwrap_or(0))
 }
 
-/// Collects the determinism fingerprint of a mix at one thread count:
-/// the full report, every scoped counter, and all event stamps.
-fn fingerprint(mix: &TrafficMix, cfg: GpuConfig, threads: usize) -> (RuntimeReport, String) {
-    let mut rt = Runtime::new(cfg.with_sim_threads(threads));
-    let tenants: Vec<usize> =
-        mix.tenants.iter().map(|&protected| rt.add_tenant(protected)).collect();
-    for (i, traffic) in mix.streams.iter().enumerate() {
-        let spec = mix.spec_of(i);
-        let tenant = tenants[traffic.tenant];
-        let prepared = prepare_in(&spec, &mut rt.tenant_mut(tenant).allocator);
-        let stream = rt.create_stream(tenant).expect("tenant exists");
-        let buf = prepared.launch.params[0];
-        let words: Vec<u64> = (0..traffic.h2d_words as u64).collect();
-        rt.memcpy_h2d(stream, buf, &words).expect("stream exists");
-        rt.launch(stream, prepared.launch).expect("workload launches are valid");
-        rt.memcpy_d2h(stream, buf, traffic.d2h_bytes).expect("stream exists");
-        let ev = rt.create_event();
-        rt.record_event(stream, ev).expect("event exists");
-    }
-    rt.synchronize().expect("mix drains without deadlock");
-    let counters = rt.counters().to_json().to_compact();
-    let events: Vec<String> =
-        (0..mix.streams.len()).map(|e| format!("{:?}", rt.event_time(e))).collect();
-    (rt.report().clone(), format!("{counters}|{}", events.join(",")))
-}
-
 fn main() {
     let opts = ReportOpts::from_env();
     let mut quick = false;
@@ -139,16 +110,10 @@ fn main() {
     }
 
     let cfg = if quick { GpuConfig::small() } else { GpuConfig::table4() };
-    let thread_matrix: &[usize] = if quick { &[1, 2] } else { &[1, 2, 8] };
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    // Bank count of every GPU this process builds (`LMI_MEM_BANKS`, else
-    // monolithic); recorded in the envelope because the baseline is
-    // bit-identical across bank counts but the wall-clock columns are not.
-    let mem_banks = cfg.resolve_mem_banks();
 
     println!(
-        "runtimebench: {} SMs, {mem_banks} memory bank(s), determinism matrix \
-         sim_threads={thread_matrix:?}, {host_cores} host core(s){}",
+        "runtimebench: {} SMs, {host_cores} host core(s){}",
         cfg.num_sms,
         if quick { " [quick]" } else { "" },
     );
@@ -164,17 +129,8 @@ fn main() {
     let mut overlaps = Vec::new();
     let wall0 = Instant::now();
     for mix in runtime_mixes() {
-        let (concurrent, snap, conc_wall, conc_allocs) =
-            run_mix(&mix, cfg.with_sim_threads(1), false);
-        let (serial, _, _, _) = run_mix(&mix, cfg.with_sim_threads(1), true);
-        // Determinism: the concurrent schedule is bit-identical at every
-        // worker-thread count — report, counters, and event stamps.
-        let (ref_report, ref_counters) = fingerprint(&mix, cfg, thread_matrix[0]);
-        for &threads in &thread_matrix[1..] {
-            let (rep, ctrs) = fingerprint(&mix, cfg, threads);
-            assert_eq!(ref_report, rep, "{}: report diverged at {threads} threads", mix.name);
-            assert_eq!(ref_counters, ctrs, "{}: counters diverged at {threads} threads", mix.name);
-        }
+        let (concurrent, snap, conc_wall, conc_allocs) = run_mix(&mix, cfg, false);
+        let (serial, _, _, _) = run_mix(&mix, cfg, true);
         let overlap = serial.total_cycles as f64 / concurrent.total_cycles as f64;
         if mix.streams.len() > 1 {
             assert!(
@@ -190,8 +146,7 @@ fn main() {
         // warp-instructions per wall-clock second, in thousands.
         let issued: u64 = concurrent.kernels.iter().map(|k| k.stats.issued).sum();
         let kips = if conc_wall > 0.0 { issued as f64 / conc_wall / 1e3 } else { 0.0 };
-        // Leader-serial share of phase-B work units over the whole mix:
-        // the serial section the bank-sharded memory pipeline shrinks.
+        // B-check share of phase-B work units over the whole mix.
         let (pb_serial, pb_banked) = concurrent.kernels.iter().fold((0u64, 0u64), |(s, b), k| {
             (s + k.stats.phase_b_serial_items, b + k.stats.phase_b_banked_items)
         });
@@ -244,10 +199,6 @@ fn main() {
                 .with("copies", concurrent.copies.len() as u64)
                 .with("kernel_latency", latency_json(&snap))
                 .with("kernels", Json::Arr(kernels))
-                .with(
-                    "determinism",
-                    Json::Arr(thread_matrix.iter().map(|&t| Json::from(t as u64)).collect()),
-                )
                 .with("wall_ms", conc_wall * 1e3)
                 .with("kips", kips)
                 .with("allocs_per_kcycle", allocs_per_kcycle)
@@ -259,7 +210,7 @@ fn main() {
     let gm = geomean(overlaps.iter().copied());
     println!(
         "\ngeomean overlap speedup {gm:.2}x (simulated cycles, serial / concurrent); \
-         determinism verified at sim_threads={thread_matrix:?}; total {total_secs:.1}s"
+         total {total_secs:.1}s"
     );
 
     let mut doc = report::envelope(
@@ -268,12 +219,7 @@ fn main() {
             .with("git_rev", report::git_rev())
             .with("quick", quick)
             .with("num_sms", cfg.num_sms)
-            .with("mem_banks", mem_banks)
             .with("host_cores", host_cores)
-            .with(
-                "determinism_threads",
-                Json::Arr(thread_matrix.iter().map(|&t| Json::from(t as u64)).collect()),
-            )
             .with("mixes", Json::Arr(rows))
             .with(
                 "summary",
@@ -285,12 +231,11 @@ fn main() {
     // v4: mix rows carry `kips` (issued warp-instructions per wall-clock
     // second, thousands) and `allocs_per_kcycle` (heap allocations during
     // the drain per thousand simulated cycles — the allocation audit).
-    // v5: the envelope carries `mem_banks` and mix rows carry
-    // `phase_b_serial_fraction` (leader-serial share of phase-B work
-    // units) from the bank-sharded memory pipeline; generated on a GPU
-    // whose shared L2/MSHR/DRAM state is address-interleaved across
-    // `mem_banks` banks, bit-identical to monolithic.
-    doc.set("schema_version", 5u64);
+    // v5: mix rows carry `phase_b_serial_fraction` (B-check share of
+    // phase-B work units).
+    // v6: the envelope's `mem_banks` and `determinism_threads` and the
+    // rows' `determinism` go with the parallel engine.
+    doc.set("schema_version", 6u64);
     if let Err(e) = std::fs::write(&out_path, doc.to_pretty()) {
         eprintln!("warning: could not write {out_path}: {e}");
     } else {

@@ -1,30 +1,20 @@
 //! `simbench` — reproducible simulator-throughput benchmark.
 //!
 //! Measures the *simulator's* wall-clock performance (not the modelled
-//! GPU's): a fixed matrix of three Table V kernels × three mechanisms is
-//! run twice per cell — serially (`sim_threads = 1`, monolithic memory,
-//! the reference schedule) and with the parallel engine on the
-//! bank-sharded memory pipeline — and the two `SimStats` records are
-//! asserted bit-identical, so every benchmark run doubles as a
-//! determinism *and bank-invariance* check on real workloads.
+//! GPU's): a fixed matrix of three Table V kernels × three mechanisms,
+//! one timed `Gpu::run` per cell.
 //!
 //! Output is a JSON document (schema in `EXPERIMENTS.md`): wall-clock per
-//! run, kilo-warp-instructions per second, thread count, host core count
-//! and git revision, so numbers from different machines and commits stay
+//! run, kilo-warp-instructions per second, host core count and git
+//! revision, so numbers from different machines and commits stay
 //! comparable. Note: the *committed* `BENCH_sim.json` baseline is owned by
-//! `runtimebench` (schema v5, simulated-cycle-led); pass `--out` here when
+//! `runtimebench` (schema v6, simulated-cycle-led); pass `--out` here when
 //! you don't want to clobber it.
 //!
-//! Usage: `simbench [--quick] [--json] [--sim-threads N] [--mem-banks N]
-//! [--out PATH]`
+//! Usage: `simbench [--quick] [--json] [--out PATH]`
 //!
 //! * `--quick` — small 8-SM config and scaled-down kernels (CI smoke);
 //!   the default is the paper's 80-SM Table IV config.
-//! * `--sim-threads` — worker threads for the parallel runs (default:
-//!   host `available_parallelism`, clamped to the SM count).
-//! * `--mem-banks` — memory banks for the parallel runs (default:
-//!   `LMI_MEM_BANKS` if set, else the worker-thread count; always clamped
-//!   to the hierarchy geometry). The serial reference stays monolithic.
 //! * `--out`         report path (default `BENCH_sim.json`).
 //! * `--json`        also print the document on stdout.
 
@@ -87,15 +77,8 @@ impl lmi_workloads::prepare::RegisterBuffers for ShieldAdapter<'_> {
 /// One timed simulation. Returns the stats, the wall-clock seconds of the
 /// `Gpu::run` call alone (setup/teardown excluded), and the heap
 /// allocations made during that same window.
-fn run_once(
-    cfg: &GpuConfig,
-    threads: usize,
-    banks: usize,
-    prepared: &PreparedWorkload,
-    mech: Mech,
-) -> (SimStats, f64, u64) {
-    let mut gpu =
-        Gpu::with_heap_policy(cfg.with_sim_threads(threads).with_mem_banks(banks), mech.policy());
+fn run_once(cfg: &GpuConfig, prepared: &PreparedWorkload, mech: Mech) -> (SimStats, f64, u64) {
+    let mut gpu = Gpu::with_heap_policy(*cfg, mech.policy());
     let (stats, secs, allocs) = match mech {
         Mech::Null => {
             let a0 = CountingAlloc::allocations();
@@ -163,21 +146,11 @@ fn allocs_per_kcycle(allocs: u64, cycles: u64) -> f64 {
 fn main() {
     let opts = ReportOpts::from_env();
     let mut quick = false;
-    let mut threads_arg: Option<usize> = None;
-    let mut banks_arg: Option<usize> = None;
     let mut out_path = "BENCH_sim.json".to_string();
     let mut it = opts.positional.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--sim-threads" => {
-                threads_arg = it.next().and_then(|v| v.parse().ok());
-                assert!(threads_arg.is_some(), "--sim-threads needs a number");
-            }
-            "--mem-banks" => {
-                banks_arg = it.next().and_then(|v| v.parse().ok());
-                assert!(banks_arg.is_some(), "--mem-banks needs a number");
-            }
             "--out" => out_path = it.next().expect("--out needs a path").clone(),
             other => panic!("unknown argument: {other}"),
         }
@@ -185,17 +158,6 @@ fn main() {
 
     let cfg = if quick { GpuConfig::small() } else { GpuConfig::table4() };
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = threads_arg.unwrap_or(host_cores).clamp(1, cfg.num_sms);
-    // Parallel-leg bank count: flag, else `LMI_MEM_BANKS`, else shard as
-    // widely as the worker count; `resolve_mem_banks` clamps everything to
-    // what the hierarchy geometry supports. The serial reference always
-    // runs monolithic, so the per-cell `assert_eq!` below is also a
-    // monolithic-vs-sharded bank-invariance check.
-    let banks_default = match cfg.resolve_mem_banks() {
-        1 => threads,
-        from_env => from_env,
-    };
-    let banks = cfg.with_mem_banks(banks_arg.unwrap_or(banks_default)).resolve_mem_banks();
     let rev = report::git_rev();
 
     // With `--json`, stdout carries the JSON document alone (so
@@ -211,55 +173,39 @@ fn main() {
     };
 
     say(format!(
-        "simbench: {} SMs, {} worker thread(s) × {} memory bank(s) vs serial, \
-         {} host core(s), rev {}{}",
+        "simbench: {} SMs, {} host core(s), rev {}{}",
         cfg.num_sms,
-        threads,
-        banks,
         host_cores,
         rev,
         if quick { " [quick]" } else { "" },
     ));
     say(format_row(
         "kernel/mech",
-        &["cycles", "kinsts", "serial ms", "par ms", "speedup", "kips", "alloc/kcyc", "srl frac"]
+        &["cycles", "kinsts", "wall ms", "kips", "alloc/kcyc", "srl frac"]
             .iter()
             .map(|s| s.to_string())
             .collect::<Vec<_>>(),
     ));
 
     let mut runs = Vec::new();
-    let mut speedups = Vec::new();
+    let mut all_kips = Vec::new();
     let wall0 = Instant::now();
     for kernel in KERNELS {
         let spec = spec_for(kernel, quick);
         for mech in MECHANISMS {
             let prepared = prepare(&spec, mech.policy());
-            let (serial_stats, serial_secs, serial_allocs) = run_once(&cfg, 1, 1, &prepared, mech);
-            let (par_stats, par_secs, par_allocs) = run_once(&cfg, threads, banks, &prepared, mech);
-            // Free determinism check: the parallel engine on the sharded
-            // memory pipeline must reproduce the serial monolithic
-            // schedule bit-for-bit on every benchmark cell.
-            assert_eq!(
-                serial_stats,
-                par_stats,
-                "{kernel}/{}: parallel run ({threads} threads, {banks} banks) diverged \
-                 from serial monolithic",
-                mech.name()
-            );
-            let speedup = if par_secs > 0.0 { serial_secs / par_secs } else { 1.0 };
-            speedups.push(speedup);
+            let (stats, secs, allocs) = run_once(&cfg, &prepared, mech);
+            let rate = kips(stats.issued, secs);
+            all_kips.push(rate);
             say(format_row(
                 &format!("{kernel}/{}", mech.name()),
                 &[
-                    format!("{}", serial_stats.cycles),
-                    format!("{:.1}", serial_stats.issued as f64 / 1e3),
-                    format!("{:.1}", serial_secs * 1e3),
-                    format!("{:.1}", par_secs * 1e3),
-                    format!("{speedup:.2}x"),
-                    format!("{:.0}", kips(par_stats.issued, par_secs)),
-                    format!("{:.2}", allocs_per_kcycle(serial_allocs, serial_stats.cycles)),
-                    format!("{:.3}", par_stats.phase_b_serial_fraction()),
+                    format!("{}", stats.cycles),
+                    format!("{:.1}", stats.issued as f64 / 1e3),
+                    format!("{:.1}", secs * 1e3),
+                    format!("{rate:.0}"),
+                    format!("{:.2}", allocs_per_kcycle(allocs, stats.cycles)),
+                    format!("{:.3}", stats.phase_b_serial_fraction()),
                 ],
             ));
             runs.push(
@@ -269,73 +215,34 @@ fn main() {
                     // One kernel at a time; multi-stream rows come from
                     // `runtimebench`, which owns the committed baseline.
                     .with("streams", 1u64)
-                    .with("cycles", serial_stats.cycles)
-                    .with("instructions", serial_stats.issued)
-                    // Identical across both legs (the bit-identity assert
-                    // above); reported once per cell. This is the serial
-                    // section the bank-sharded pipeline shrinks.
-                    .with("phase_b_serial_fraction", par_stats.phase_b_serial_fraction())
-                    .with(
-                        "serial",
-                        Json::obj()
-                            .with("wall_ms", serial_secs * 1e3)
-                            .with("kips", kips(serial_stats.issued, serial_secs))
-                            .with(
-                                "allocs_per_kcycle",
-                                allocs_per_kcycle(serial_allocs, serial_stats.cycles),
-                            ),
-                    )
-                    .with(
-                        "parallel",
-                        Json::obj()
-                            .with("threads", threads)
-                            .with("mem_banks", banks)
-                            .with("wall_ms", par_secs * 1e3)
-                            .with("kips", kips(par_stats.issued, par_secs))
-                            .with(
-                                "allocs_per_kcycle",
-                                allocs_per_kcycle(par_allocs, par_stats.cycles),
-                            ),
-                    )
-                    .with("speedup", speedup),
+                    .with("cycles", stats.cycles)
+                    .with("instructions", stats.issued)
+                    .with("phase_b_serial_fraction", stats.phase_b_serial_fraction())
+                    .with("wall_ms", secs * 1e3)
+                    .with("kips", rate)
+                    .with("allocs_per_kcycle", allocs_per_kcycle(allocs, stats.cycles)),
             );
         }
     }
     let total_secs = wall0.elapsed().as_secs_f64();
 
-    let gm = geomean(speedups.iter().copied());
-    let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = speedups.iter().copied().fold(0.0f64, f64::max);
-    say(format!(
-        "\ngeomean speedup {gm:.2}x (min {min:.2}x, max {max:.2}x) at {threads} thread(s) × \
-         {banks} memory bank(s); total {total_secs:.1}s"
-    ));
-    if host_cores < threads {
-        say(format!(
-            "note: only {host_cores} host core(s) — thread-level speedup needs real parallelism"
-        ));
-    }
+    let gm = geomean(all_kips.iter().copied());
+    say(format!("\ngeomean {gm:.0} kips; total {total_secs:.1}s"));
 
-    let doc = report::envelope(
+    let mut doc = report::envelope(
         "simbench",
         Json::obj()
             .with("git_rev", rev)
             .with("quick", quick)
             .with("num_sms", cfg.num_sms)
-            .with("threads", threads)
-            .with("mem_banks", banks)
             .with("host_cores", host_cores)
             .with("kernels", Json::Arr(KERNELS.iter().map(|&k| Json::from(k)).collect()))
             .with("runs", Json::Arr(runs))
-            .with(
-                "summary",
-                Json::obj()
-                    .with("geomean_speedup", gm)
-                    .with("min_speedup", min)
-                    .with("max_speedup", max)
-                    .with("total_wall_s", total_secs),
-            ),
+            .with("summary", Json::obj().with("geomean_kips", gm).with("total_wall_s", total_secs)),
     );
+    // v2: one timed run per cell; the serial/parallel pair, `threads`,
+    // `mem_banks` and the speedup fields are gone with the parallel engine.
+    doc.set("schema_version", 2u64);
     if let Err(e) = std::fs::write(&out_path, doc.to_pretty()) {
         eprintln!("warning: could not write {out_path}: {e}");
     } else {

@@ -239,15 +239,13 @@ impl Sweep {
     }
 
     /// Executes every queued run once and returns the statistics in queue
-    /// order. Runs execute concurrently, as many as the host's cores hold
-    /// engines of `GpuConfig::small().resolve_sim_threads()` threads each.
+    /// order. Runs execute concurrently, one per host core.
     ///
     /// # Panics
     ///
     /// Re-raises the first failing run's panic, message intact.
     pub fn run(&self) -> Vec<SimStats> {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.run_on(workers_for(cores, GpuConfig::small().resolve_sim_threads()))
+        self.run_on(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// [`Sweep::run`] on exactly `workers` threads.
@@ -256,13 +254,6 @@ impl Sweep {
         order.sort_by_key(|&i| self.keys[i].cost_rank());
         par_map(&self.keys, &order, workers, simulate)
     }
-}
-
-/// Concurrent runs for a host with `cores` cores when each run's engine
-/// uses `sim_threads` threads: as many as fit without oversubscribing the
-/// cores, at least one.
-fn workers_for(cores: usize, sim_threads: usize) -> usize {
-    (cores / sim_threads.max(1)).max(1)
 }
 
 /// Maps `f` over `items` on `workers` scoped threads that take items in
@@ -446,18 +437,6 @@ mod tests {
             }
         }
         assert_eq!(sweep.keys.len(), 28 * 13);
-    }
-
-    #[test]
-    fn workers_never_oversubscribe_the_host() {
-        assert_eq!(workers_for(2, 1), 2);
-        // Two cores, two engine threads per run (LMI_SIM_THREADS=2).
-        assert_eq!(workers_for(2, 2), 1);
-        assert_eq!(workers_for(3, 2), 1);
-        assert_eq!(workers_for(8, 2), 4);
-        assert_eq!(workers_for(1, 1), 1);
-        assert_eq!(workers_for(1, 8), 1);
-        assert_eq!(workers_for(4, 0), 4);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   memory-safety defect (spatial near/far, use-after-free, double free,
 //!   forbidden `inttoptr` cast).
 //! * [`oracle`] runs each case across the mechanism × engine matrix (Null,
-//!   LMI, GPUShield, Baggy, canary × `sim_threads` × `mem_banks`) and
-//!   checks transparency, detection-by-class, and bit-identical engine
-//!   behavior.
+//!   LMI, GPUShield, Baggy, canary × untraced and traced runs) and checks
+//!   transparency, detection-by-class, and that tracing never perturbs
+//!   the simulation.
 //! * [`mod@shrink`] delta-debugs any failing case — first over the recipe,
 //!   then over the built IR — down to a minimal reproducer it renders as a
 //!   ready-to-paste regression test.
@@ -34,8 +34,8 @@ pub mod shrink;
 pub use corpus::{case_from_json, case_to_json, CORPUS_SCHEMA};
 pub use defect::{mutate, Defect, DefectClass, ALL_CLASSES, FAR_DELTA};
 pub use oracle::{
-    expectation, full_points, lmi_run, run_case, CaseFailure, CaseReport, EnginePoint, Expect,
-    MechanismKind, MechanismReport, OracleConfig, ALL_MECHANISMS,
+    expectation, lmi_run, run_case, CaseFailure, CaseReport, EnginePoint, Expect, MechanismKind,
+    MechanismReport, OracleConfig, ALL_MECHANISMS,
 };
 pub use recipe::{build, generate, BufSpec, Loc, OpSpec, Recipe, THREADS};
 pub use shrink::{shrink, Reproducer};

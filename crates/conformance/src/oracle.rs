@@ -1,8 +1,8 @@
 //! The differential oracle matrix.
 //!
 //! Each case (a recipe, optionally carrying one injected defect) is run
-//! across protection mechanisms × engine configurations
-//! (`sim_threads` × `mem_banks`) and checked against three invariants:
+//! across protection mechanisms × engine points (untraced, and with
+//! counters and the tracer on) and checked against three invariants:
 //!
 //! * **Transparency** — on safe cases no mechanism fires and every
 //!   mechanism produces bit-identical global-buffer contents.
@@ -10,7 +10,8 @@
 //!   classes its design covers (LMI all of them; the baselines their
 //!   documented subsets).
 //! * **Engine determinism** — per mechanism, statistics and post-run
-//!   memory are bit-identical at every engine configuration.
+//!   memory are bit-identical at every engine point: observability never
+//!   perturbs the simulation.
 
 use lmi_alloc::AlignmentPolicy;
 use lmi_baselines::{instrument_baggy, CanaryAllocator, GpuShield};
@@ -18,8 +19,10 @@ use lmi_compiler::ir::Function;
 use lmi_compiler::{compile, CompileError, CompileOptions};
 use lmi_core::{DevicePtr, PtrConfig, TemporalKind, Violation};
 use lmi_mem::layout;
-use lmi_sim::{Gpu, GpuConfig, Launch, LmiMechanism, MemorySnapshot, NullMechanism, SimStats};
-use lmi_telemetry::SplitMix64;
+use lmi_sim::{
+    Gpu, GpuConfig, Launch, LmiMechanism, Mechanism, MemorySnapshot, NullMechanism, SimStats,
+};
+use lmi_telemetry::{SplitMix64, TelemetrySink};
 
 use crate::defect::{Defect, DefectClass};
 use crate::recipe::{build, BufSpec, Loc, Recipe, THREADS};
@@ -72,24 +75,30 @@ impl MechanismKind {
     }
 }
 
-/// One engine configuration of the determinism matrix.
+/// Trace-ring capacity of a traced engine point.
+const TRACE_CAPACITY: usize = 1 << 12;
+
+/// One engine point of the determinism matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnginePoint {
-    /// Worker threads for the parallel engine.
-    pub sim_threads: usize,
-    /// Address-interleaved memory banks.
-    pub mem_banks: usize,
+    /// Run with scoped counters and the tracer on (the engine's only
+    /// conditional path: phase B-final and the tracer branches).
+    pub traced: bool,
 }
 
-/// The issue-mandated engine matrix: `sim_threads` {1,2} × `mem_banks`
-/// {1,4}.
-pub fn full_points() -> Vec<EnginePoint> {
-    vec![
-        EnginePoint { sim_threads: 1, mem_banks: 1 },
-        EnginePoint { sim_threads: 2, mem_banks: 1 },
-        EnginePoint { sim_threads: 1, mem_banks: 4 },
-        EnginePoint { sim_threads: 2, mem_banks: 4 },
-    ]
+/// Runs `launch` on `gpu` at engine point `point`.
+fn launch_at(
+    gpu: &mut Gpu,
+    launch: &Launch,
+    mechanism: &mut dyn Mechanism,
+    point: EnginePoint,
+) -> SimStats {
+    if point.traced {
+        let mut sink = TelemetrySink::with_trace_capacity(TRACE_CAPACITY);
+        gpu.run_with_telemetry(launch, mechanism, &mut sink)
+    } else {
+        gpu.run(launch, mechanism)
+    }
 }
 
 /// Oracle configuration: which mechanisms and engine points to run, and an
@@ -107,20 +116,12 @@ pub struct OracleConfig {
 }
 
 impl OracleConfig {
-    /// The full mechanism × engine matrix.
-    pub fn full() -> OracleConfig {
-        OracleConfig { mechanisms: ALL_MECHANISMS.to_vec(), points: full_points(), masked: None }
-    }
-
-    /// A budget-friendly matrix for debug-mode tests: all mechanisms, two
-    /// engine points spanning both axes.
+    /// Every mechanism at both engine points: untraced (the reference),
+    /// then traced.
     pub fn quick() -> OracleConfig {
         OracleConfig {
             mechanisms: ALL_MECHANISMS.to_vec(),
-            points: vec![
-                EnginePoint { sim_threads: 1, mem_banks: 1 },
-                EnginePoint { sim_threads: 2, mem_banks: 4 },
-            ],
+            points: vec![EnginePoint { traced: false }, EnginePoint { traced: true }],
             masked: None,
         }
     }
@@ -281,8 +282,7 @@ fn run_one(
     baggy_program: &lmi_isa::Program,
     image: &MemorySnapshot,
 ) -> RunResult {
-    let mut cfg =
-        GpuConfig::small().with_sim_threads(point.sim_threads).with_mem_banks(point.mem_banks);
+    let mut cfg = GpuConfig::small();
     cfg.halt_on_violation = true;
 
     let policy = match kind {
@@ -321,17 +321,16 @@ fn run_one(
 
     let stats = match kind {
         MechanismKind::Lmi => {
-            let mut mech = LmiMechanism::default_config();
-            gpu.run(&launch, &mut mech)
+            launch_at(&mut gpu, &launch, &mut LmiMechanism::default_config(), point)
         }
         MechanismKind::GpuShield => {
             let mut mech = GpuShield::new();
             for (buf, &base) in recipe.globals.iter().zip(&bases) {
                 mech.register_buffer(base, u64::from(buf.elems) * 4);
             }
-            gpu.run(&launch, &mut mech)
+            launch_at(&mut gpu, &launch, &mut mech, point)
         }
-        _ => gpu.run(&launch, &mut NullMechanism),
+        _ => launch_at(&mut gpu, &launch, &mut NullMechanism, point),
     };
 
     let global_ranges: Vec<(u64, u64)> = recipe
@@ -418,19 +417,13 @@ pub fn run_case(
                     if r.stats != run.stats {
                         return Err(fail(
                             Some(kind),
-                            format!(
-                                "engine statistics diverge at sim_threads={} mem_banks={}",
-                                point.sim_threads, point.mem_banks
-                            ),
+                            format!("engine statistics diverge at {point:?}"),
                         ));
                     }
                     if r.full_image != run.full_image || r.canary_hit != run.canary_hit {
                         return Err(fail(
                             Some(kind),
-                            format!(
-                                "post-run memory diverges at sim_threads={} mem_banks={}",
-                                point.sim_threads, point.mem_banks
-                            ),
+                            format!("post-run memory diverges at {point:?}"),
                         ));
                     }
                 }
@@ -541,8 +534,7 @@ pub fn lmi_run(
     point: EnginePoint,
 ) -> Result<SimStats, CompileError> {
     let bin = compile(func, CompileOptions::default())?;
-    let mut cfg =
-        GpuConfig::small().with_sim_threads(point.sim_threads).with_mem_banks(point.mem_banks);
+    let mut cfg = GpuConfig::small();
     cfg.halt_on_violation = true;
     let mut gpu = Gpu::new(cfg);
     let bases = global_bases(globals.len());
@@ -554,8 +546,7 @@ pub fn lmi_run(
             .raw();
         launch = launch.param(raw);
     }
-    let mut mech = LmiMechanism::default_config();
-    Ok(gpu.run(&launch, &mut mech))
+    Ok(launch_at(&mut gpu, &launch, &mut LmiMechanism::default_config(), point))
 }
 
 #[cfg(test)]

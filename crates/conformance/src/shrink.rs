@@ -5,7 +5,7 @@
 //! case still fail?* — where "fail" means "LMI still detects the injected
 //! defect" (or, for the `inttoptr` class, "the compiler still rejects the
 //! kernel"). Every probe is a deterministic single-point run, so the
-//! shrink trajectory is bit-identical across engine configurations.
+//! shrink trajectory is deterministic.
 
 use lmi_compiler::ir::{Function, InstKind, Terminator, ValueId};
 use lmi_compiler::{compile, CompileError, CompileOptions};
@@ -300,7 +300,7 @@ impl Reproducer {
         } else {
             format!(
                 "    let func = build(&recipe, Some(&defect));\n\
-                 \x20   let point = EnginePoint {{ sim_threads: 1, mem_banks: 1 }};\n\
+                 \x20   let point = EnginePoint {{ traced: false }};\n\
                  \x20   let stats = lmi_run(&func, &recipe.globals, point).expect(\"compiles\");\n\
                  \x20   assert!(stats.violated(), \"lmi must detect the {} defect\");",
                 self.defect.class.label()
@@ -353,7 +353,7 @@ mod tests {
     use crate::recipe::generate;
     use lmi_telemetry::SplitMix64;
 
-    const P: EnginePoint = EnginePoint { sim_threads: 1, mem_banks: 1 };
+    const P: EnginePoint = EnginePoint { traced: false };
 
     #[test]
     fn shrunk_cases_still_fail_and_get_small() {

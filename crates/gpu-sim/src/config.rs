@@ -28,21 +28,6 @@ pub struct GpuConfig {
     pub const_latency: u32,
     /// Latency of a device-runtime `malloc`/`free` call in cycles.
     pub heap_call_latency: u32,
-    /// Worker threads for the parallel engine (`crate::engine`). `0` means
-    /// "auto": honor the `LMI_SIM_THREADS` environment variable if set,
-    /// otherwise run serially. Any value is clamped to `num_sms`. The
-    /// engine is deterministic: every thread count produces bit-identical
-    /// [`crate::stats::SimStats`].
-    pub sim_threads: usize,
-    /// Number of address-interleaved memory banks the shared L2 + MSHR +
-    /// DRAM + backing store shard into (`crate::engine`'s bank-parallel
-    /// apply). `0` means "auto": honor the `LMI_MEM_BANKS` environment
-    /// variable if set, otherwise run monolithic (1 bank). Any value is
-    /// clamped to the largest count the hierarchy geometry supports
-    /// ([`lmi_mem::max_supported_banks`]). Like `sim_threads`, the setting
-    /// is perf-only: every bank count produces bit-identical
-    /// [`crate::stats::SimStats`].
-    pub mem_banks: usize,
     /// Cycles of the LSU front-end (operand collection + address
     /// generation) that overlap the OCU's pipelined verdict: a dependent
     /// memory access only stalls for `max(0, verdict - ready - overlap)`
@@ -56,8 +41,7 @@ pub struct GpuConfig {
     /// disables sampling. Every `sample_period` cycles each SM records
     /// its warp states, stall reasons and executing PCs into
     /// [`crate::stats::SimStats::profile`]. Samples are taken in phase A
-    /// from SM-local state and absorbed canonically in the apply phase,
-    /// so profiles are bit-identical across `sim_threads`.
+    /// from SM-local state and absorbed in ascending SM order in phase B.
     pub sample_period: u64,
 }
 
@@ -75,8 +59,6 @@ impl GpuConfig {
             fpu_latency: 4,
             const_latency: 8,
             heap_call_latency: 600,
-            sim_threads: 0,
-            mem_banks: 0,
             lsu_verdict_overlap: 3,
             halt_on_violation: false,
             sample_period: 0,
@@ -102,58 +84,11 @@ impl GpuConfig {
         cfg
     }
 
-    /// Returns a copy with an explicit worker-thread count (`1` = serial).
-    pub fn with_sim_threads(mut self, threads: usize) -> GpuConfig {
-        self.sim_threads = threads;
-        self
-    }
-
     /// Returns a copy with the sampling profiler enabled at `period`
     /// cycles (`0` disables it again).
     pub fn with_sample_period(mut self, period: u64) -> GpuConfig {
         self.sample_period = period;
         self
-    }
-
-    /// Returns a copy with an explicit memory-bank count (`1` = monolithic).
-    pub fn with_mem_banks(mut self, banks: usize) -> GpuConfig {
-        self.mem_banks = banks;
-        self
-    }
-
-    /// Resolves [`GpuConfig::sim_threads`] to an effective worker count:
-    /// an explicit setting wins, then the `LMI_SIM_THREADS` environment
-    /// variable, then serial; the result is clamped to `num_sms` (a worker
-    /// without an SM would only spin on barriers).
-    pub fn resolve_sim_threads(&self) -> usize {
-        let requested = if self.sim_threads != 0 {
-            self.sim_threads
-        } else {
-            std::env::var("LMI_SIM_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(1)
-        };
-        requested.clamp(1, self.num_sms.max(1))
-    }
-
-    /// Resolves [`GpuConfig::mem_banks`] to an effective bank count: an
-    /// explicit setting wins, then the `LMI_MEM_BANKS` environment
-    /// variable, then monolithic; the result is clamped to the largest
-    /// count the hierarchy geometry supports (banks must divide the L2 set
-    /// count and the DRAM channel count evenly).
-    pub fn resolve_mem_banks(&self) -> usize {
-        let requested = if self.mem_banks != 0 {
-            self.mem_banks
-        } else {
-            std::env::var("LMI_MEM_BANKS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(1)
-        };
-        lmi_mem::max_supported_banks(&self.hierarchy, requested)
     }
 }
 
@@ -169,24 +104,6 @@ mod tests {
         assert_eq!(c.schedulers_per_sm, 4);
         assert_eq!(c.hierarchy.l1.capacity_bytes, 96 * 1024);
         assert_eq!(c.hierarchy.l2.ways, 24);
-    }
-
-    #[test]
-    fn sim_threads_resolution_clamps_to_sm_count() {
-        let cfg = GpuConfig::small().with_sim_threads(3);
-        assert_eq!(cfg.resolve_sim_threads(), 3);
-        assert_eq!(GpuConfig::small().with_sim_threads(64).resolve_sim_threads(), 8);
-        assert_eq!(GpuConfig::security().with_sim_threads(8).resolve_sim_threads(), 1);
-    }
-
-    #[test]
-    fn mem_banks_resolution_clamps_to_geometry() {
-        // Table IV: 1536 L2 sets, 32 DRAM channels — powers of two divide
-        // both; 5 divides neither, so it clamps down to 4.
-        assert_eq!(GpuConfig::small().with_mem_banks(4).resolve_mem_banks(), 4);
-        assert_eq!(GpuConfig::small().with_mem_banks(5).resolve_mem_banks(), 4);
-        assert_eq!(GpuConfig::small().with_mem_banks(1000).resolve_mem_banks(), 32);
-        assert_eq!(GpuConfig::small().with_mem_banks(1).resolve_mem_banks(), 1);
     }
 
     #[test]

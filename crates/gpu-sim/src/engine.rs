@@ -1,65 +1,41 @@
-//! The simulation engine: the deterministic bank-sharded cycle driver.
+//! The simulation engine: the deterministic three-phase cycle driver.
 //!
-//! One driver executes the phase protocol described in [`crate::sm`] at any
-//! worker-thread count (1 = serial) and any memory-bank count (1 =
-//! monolithic), always bit-identically:
+//! Each simulated cycle runs the phase protocol described in [`crate::sm`]
+//! as a fixed sequence of passes over plain `&mut` state:
 //!
-//! * **Phase A** — every SM concurrently: schedule, execute ALU work,
-//!   probe the SM-local L1, and route L1 misses + per-lane data movement
-//!   into per-SM per-bank queues.
-//! * **Phase B-check** — the leader (the calling thread) walks every SM's
-//!   events in ascending (slot, issue) order: statistics, counters,
-//!   mechanism checks (each memory op gets a [`MemVerdict`]), heap calls,
-//!   violations and forensics. Mechanism metadata fetches are routed to
-//!   their owning banks. This is the only genuinely serial section; its
-//!   size is surfaced as [`SimStats::phase_b_serial_items`] vs
-//!   [`SimStats::phase_b_banked_items`]
-//!   (`crate::stats::SimStats::phase_b_serial_fraction`).
-//! * **Metadata pass** (only on cycles with metadata traffic) — each bank,
-//!   applied by a fixed worker (`bank % threads`), performs its metadata
-//!   fetches in canonical (slot, op) order and publishes each op's
-//!   completion via an atomic max.
-//! * **Bank pass** (only on cycles with memory traffic) — each bank drains
-//!   its queues in canonical (slot, queue) order: L2/MSHR/DRAM line fills
-//!   (timing) and byte movement through the bank's shard of the store
-//!   (functional), gated on the op's verdict. Banks partition the address
-//!   space at line granularity, so no two banks ever touch the same
-//!   cache set, DRAM channel group, or store byte — running them
-//!   concurrently is exactly the monolithic sequence, reordered across
-//!   independent state.
-//! * **Phase B-final** (only when tracing) — the leader emits memory
-//!   transaction spans from the assembled completion times.
-//! * **Phase C** — every SM concurrently applies results to its warps;
-//!   memory-op timing is assembled from the bank-published atomics.
+//! * **Phase A** — every SM in ascending order: schedule, execute ALU
+//!   work, probe the SM-local L1, and record its shared-state work as
+//!   [`IssueEvent`]s.
+//! * **Phase B-check** — one walk over every SM's events in ascending
+//!   (SM, issue) order: statistics, counters, mechanism checks (each
+//!   memory op gets a [`MemVerdict`]), heap calls, violations and
+//!   forensics. Mechanism metadata fetches are queued. Its work count is
+//!   [`SimStats::phase_b_serial_items`].
+//! * **Metadata pass** — the queued metadata fetches go through the
+//!   shared L2/MSHR/DRAM in queue order; each op keeps its slowest.
+//! * **Memory pass** — every live memory op, in (SM, issue) order, fills
+//!   its L1-missed lines through the same shared path (timing, gated on
+//!   its metadata) and moves each surviving lane's bytes through the
+//!   functional store. Fills, byte moves and metadata fetches together
+//!   are [`SimStats::phase_b_banked_items`].
+//! * **Phase B-final** (only when tracing) — memory-transaction spans
+//!   from the completion times the two passes produced.
+//! * **Phase C** — every SM applies the results to its warps.
 //!
-//! Every pass is ordered canonically and every inter-pass hand-off is an
-//! atomic max over values that are themselves canonical, so cycle counts,
-//! cache hit/miss sequences, heap order, counters, trace contents and
-//! forensics are **bit-identical at every thread count and bank count**.
-//!
-//! Synchronization is a sense-reversing spin barrier between passes;
-//! memory-quiet cycles skip the bank barriers entirely (the leader decides
-//! during B-check and publishes the schedule in atomic flags every thread
-//! reads after the B-check barrier). Per-cycle reductions go through
-//! double-buffered accumulators indexed by iteration parity, and a panic on
-//! any thread poisons the pool, drains every worker out of the barrier
-//! protocol, and re-raises on the calling thread.
-
-use std::ops::Range;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Mutex, RwLock};
+//! The order is the semantics: it fixes the cache hit/miss sequence, heap
+//! allocation order, counters, trace contents and forensics, so simulated
+//! outputs are a pure function of the inputs.
 
 use lmi_alloc::{AllocError, DeviceHeap};
 use lmi_core::error::TemporalKind;
 use lmi_core::Violation;
 use lmi_isa::{OpcodeClass, Reg};
-use lmi_mem::{BankRouter, BankedHierarchy, BankedMemory, Cache, MemBank, SparseMemory};
+use lmi_mem::{Cache, MemorySystem, SparseMemory};
 use lmi_telemetry::{FaultEvent, PoisonEvent, Scope, TelemetrySink, TraceEventKind};
 
 use crate::config::GpuConfig;
 use crate::mechanism::{Mechanism, MemAccessCtx};
-use crate::sm::{BankReq, CycleEvents, EventPool, IssueEvent, MemVerdict, SharedOp, Sm};
+use crate::sm::{CycleEvents, EventPool, IssueEvent, MemVerdict, SharedOp, Sm};
 use crate::stats::{SimStats, ViolationEvent};
 
 /// Per-kernel shared state: each kernel resident on the GPU owns its own
@@ -71,15 +47,14 @@ pub(crate) struct KernelSlot<'a> {
     pub heap: &'a DeviceHeap,
 }
 
-/// The shared-state half of the machine, borrowed once per run. The
-/// banked hierarchy/store are split into per-bank cells by the engine;
-/// kernel-owned state lives in [`KernelSlot`]s, routed by `kernel_of_sm`
+/// The shared-state half of the machine, borrowed once per run.
+/// Kernel-owned state lives in [`KernelSlot`]s, routed by `kernel_of_sm`
 /// so concurrent kernels on disjoint SM partitions keep their mechanisms,
 /// heaps and stats separate while *sharing* the L2/DRAM — contention
 /// between tenants is modeled, isolation of metadata is not compromised.
 pub(crate) struct SharedCtx<'a> {
-    pub hierarchy: &'a mut BankedHierarchy,
-    pub memory: &'a mut BankedMemory,
+    pub hierarchy: &'a mut MemorySystem,
+    pub memory: &'a mut SparseMemory,
     pub kernels: Vec<KernelSlot<'a>>,
     /// SM index → index into `kernels`.
     pub kernel_of_sm: Vec<usize>,
@@ -87,19 +62,20 @@ pub(crate) struct SharedCtx<'a> {
     pub sink: &'a mut TelemetrySink,
 }
 
-/// Leader-only state: everything phase B-check touches. Only ever accessed
-/// by the calling thread, so `&mut dyn Mechanism` / `&mut TelemetrySink`
-/// never cross a thread boundary.
-struct LeaderCtx<'l, 'a> {
+/// Everything phase B-check touches.
+struct CheckCtx<'l, 'a> {
     kernels: &'l mut Vec<KernelSlot<'a>>,
     kernel_of_sm: &'l [usize],
     cfg: &'l GpuConfig,
     sink: &'l mut TelemetrySink,
     /// Reused per-op metadata-address scratch (sorted + deduped).
     meta_scratch: Vec<u64>,
+    /// This cycle's metadata fetches, in canonical (slot, op, address)
+    /// order. Capacity survives the per-cycle drain.
+    meta_q: Vec<MetaReq>,
 }
 
-impl<'l, 'a> LeaderCtx<'l, 'a> {
+impl<'l, 'a> CheckCtx<'l, 'a> {
     /// The kernel slot owning SM `sm_id`. Borrow is statement-scoped, so
     /// callers interleave slot access with `sink` access freely.
     fn kernel(&mut self, sm_id: usize) -> &mut KernelSlot<'a> {
@@ -107,46 +83,15 @@ impl<'l, 'a> LeaderCtx<'l, 'a> {
     }
 }
 
-/// One address-interleaved shard of the shared memory system: the timing
-/// model (L2 slice + MSHRs + DRAM channel group) and the matching shard of
-/// the functional store. Exclusively owned by one bank worker per pass;
-/// the mutex is never contended (fixed bank→worker assignment), it only
-/// carries the `&mut` across the thread boundary.
-struct BankCell<'m> {
-    timing: &'m mut MemBank,
-    store: &'m mut SparseMemory,
-}
-
-/// One metadata fetch routed to a bank by the B-check (slot = index into
-/// the engine's slot list, op = index into that SM's issue list, local =
-/// bank-compacted address).
+/// One metadata fetch queued by the B-check (slot = index into the
+/// engine's slot list, op = index into that SM's issue list).
 struct MetaReq {
     slot: u32,
     op: u32,
-    local: u64,
+    addr: u64,
 }
 
-/// The bank-parallel half of the machine, shared by every thread.
-struct Machine<'m> {
-    cells: Vec<Mutex<BankCell<'m>>>,
-    /// Per-bank metadata queues, filled by the leader in canonical order.
-    /// Capacity survives the per-cycle `clear()`.
-    meta_q: Vec<Mutex<Vec<MetaReq>>>,
-    /// Cycle schedule, decided by the leader during B-check: does a
-    /// metadata pass / a bank pass run this cycle? Every thread reads the
-    /// flags after the B-check barrier, so the barrier count always agrees.
-    meta_flag: AtomicBool,
-    bank_flag: AtomicBool,
-    router: BankRouter,
-    banks: usize,
-    /// Run-constant: the tracer needs a leader-only B-final step.
-    tracer_on: bool,
-}
-
-/// One SM's slot: the SM, its own L1 (SM-local phase-A state), and its
-/// cycle events. Behind a `RwLock`: phases A/C take the write lock from
-/// the owning worker only; the bank passes take read locks (their writes
-/// go through the events' atomics).
+/// One SM with its own L1 (SM-local phase-A state) and its cycle events.
 struct SmSlot<'l> {
     sm: Sm,
     l1: &'l mut Cache,
@@ -156,91 +101,85 @@ struct SmSlot<'l> {
 /// Runs the machine to completion and returns the final cycle number.
 /// `l1s[i]` is SM `sms[i]`'s L1 cache (owned by the GPU so warmth and
 /// statistics persist across launches).
-pub(crate) fn run(
-    sms: &mut Vec<Sm>,
-    l1s: Vec<&mut Cache>,
-    shared: &mut SharedCtx<'_>,
-    threads: usize,
-) -> u64 {
-    let threads = threads.clamp(1, sms.len().max(1));
+pub(crate) fn run(sms: &mut Vec<Sm>, l1s: Vec<&mut Cache>, shared: &mut SharedCtx<'_>) -> u64 {
     assert_eq!(l1s.len(), sms.len(), "one L1 per SM");
     let SharedCtx { hierarchy, memory, kernels, kernel_of_sm, cfg, sink } = shared;
-    let banks = hierarchy.num_banks();
-    assert_eq!(banks, memory.num_banks(), "timing and store must shard identically");
-    let router = hierarchy.router();
-    let machine = Machine {
-        cells: hierarchy
-            .banks_mut()
-            .iter_mut()
-            .zip(memory.banks_mut().iter_mut())
-            .map(|(timing, store)| Mutex::new(BankCell { timing, store }))
-            .collect(),
-        meta_q: (0..banks).map(|_| Mutex::new(Vec::new())).collect(),
-        meta_flag: AtomicBool::new(false),
-        bank_flag: AtomicBool::new(false),
-        router,
-        banks,
-        tracer_on: sink.tracer.is_enabled(),
+    let cfg = **cfg;
+    let tracer_on = sink.tracer.is_enabled();
+    let mut ctx = CheckCtx {
+        kernels,
+        kernel_of_sm,
+        cfg: &cfg,
+        sink,
+        meta_scratch: Vec::new(),
+        meta_q: Vec::new(),
     };
-    let mut leader = LeaderCtx { kernels, kernel_of_sm, cfg, sink, meta_scratch: Vec::new() };
-
-    let slots: Vec<RwLock<SmSlot>> = sms
+    let mut slots: Vec<SmSlot> = sms
         .drain(..)
         .zip(l1s)
-        .map(|(sm, l1)| {
-            let mut events = CycleEvents::default();
-            events.ensure_banks(banks);
-            RwLock::new(SmSlot { sm, l1, events })
-        })
+        .map(|(sm, l1)| SmSlot { sm, l1, events: CycleEvents::default() })
         .collect();
-    // Contiguous SM ranges; the remainder goes to the front groups.
-    let n = slots.len();
-    let (base, rem) = (n / threads, n % threads);
-    let mut ranges = Vec::with_capacity(threads);
-    let mut start = 0;
-    for t in 0..threads {
-        let len = base + usize::from(t < rem);
-        ranges.push(start..start + len);
-        start += len;
+    let mut now = 0u64;
+    loop {
+        // Phase A.
+        let mut issued_any = false;
+        let mut next_ready = u64::MAX;
+        for SmSlot { sm, l1, events } in &mut slots {
+            let outcome = sm.step_phase_a(now, &cfg, events, l1);
+            issued_any |= outcome.issued_any;
+            next_ready = next_ready.min(outcome.next_ready);
+        }
+        // Phase B-check, then the metadata and memory passes.
+        for (slot_idx, SmSlot { sm, events, .. }) in slots.iter_mut().enumerate() {
+            apply_cycle(sm.id, slot_idx, events, now, &mut ctx);
+        }
+        for req in ctx.meta_q.drain(..) {
+            let done = hierarchy.access(req.addr, now);
+            let ev = &mut slots[req.slot as usize].events.issues[req.op as usize];
+            ev.meta_done = ev.meta_done.max(done);
+        }
+        for slot in &mut slots {
+            memory_pass(&mut slot.events, hierarchy, memory, now);
+        }
+        if tracer_on {
+            b_final(&slots, &mut ctx, now);
+        }
+        // Phase C.
+        let mut all_done = true;
+        for SmSlot { sm, events, .. } in &mut slots {
+            sm.apply_results(events, now, &cfg);
+            all_done &= sm.all_done();
+        }
+        if all_done {
+            break;
+        }
+        now = if issued_any || next_ready == u64::MAX {
+            now + 1
+        } else {
+            // Fast-forward over scoreboard stalls.
+            next_ready.max(now + 1)
+        };
+        debug_assert!(now < 1_000_000_000, "runaway simulation");
     }
-    let ctl = Ctl::new(threads);
-    let cfg_v = **cfg;
-    let mut final_cycle = 0u64;
-    if threads == 1 {
-        final_cycle = leader_loop(&slots, &machine, ranges[0].clone(), threads, &mut leader, &ctl);
-    } else {
-        std::thread::scope(|scope| {
-            for (t, range) in ranges.iter().enumerate().skip(1) {
-                let (slots, machine, ctl, range) = (&slots, &machine, &ctl, range.clone());
-                scope.spawn(move || worker_loop(slots, machine, range, t, threads, &cfg_v, ctl));
-            }
-            final_cycle =
-                leader_loop(&slots, &machine, ranges[0].clone(), threads, &mut leader, &ctl);
-        });
-    }
-    sms.extend(slots.into_iter().map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).sm));
-    if let Some(payload) = ctl.payload.lock().unwrap_or_else(|e| e.into_inner()).take() {
-        panic::resume_unwind(payload);
-    }
-    final_cycle
+    sms.extend(slots.into_iter().map(|s| s.sm));
+    now
 }
 
 // ---------------------------------------------------------------------------
 // Phase B-check: canonical application of one SM's cycle events.
 
 /// Applies everything SM `sm_id` (slot `slot_idx`) deferred this cycle, in
-/// issue order, and routes its bank work.
+/// issue order.
 fn apply_cycle(
     sm_id: usize,
     slot_idx: usize,
     events: &mut CycleEvents,
     now: u64,
-    machine: &Machine<'_>,
-    leader: &mut LeaderCtx<'_, '_>,
+    ctx: &mut CheckCtx<'_, '_>,
 ) {
     if events.stalls != [0; 4] {
         let s = &events.stalls;
-        let stats = &mut *leader.kernel(sm_id).stats;
+        let stats = &mut *ctx.kernel(sm_id).stats;
         stats.stalls.scoreboard += s[0];
         stats.stalls.lsu_busy += s[1];
         stats.stalls.ocu_verdict += s[2];
@@ -249,25 +188,21 @@ fn apply_cycle(
             ["stall.scoreboard", "stall.lsu_busy", "stall.ocu_verdict", "stall.no_ready_warp"];
         for (count, name) in s.iter().zip(NAMES) {
             if *count > 0 {
-                leader.sink.counters.add(Scope::Sm(sm_id), name, *count);
+                ctx.sink.counters.add(Scope::Sm(sm_id), name, *count);
             }
         }
     }
     if let Some(sample) = events.sample.take() {
         // Absorb the phase-A profiler sample into the owning kernel's
-        // profile. Runs here (single thread, ascending SM order) so the
-        // merged profile is canonical at every thread count.
-        let period = leader.cfg.sample_period;
-        let profile = &mut leader.kernel(sm_id).stats.profile;
+        // profile, in ascending SM order.
+        let period = ctx.cfg.sample_period;
+        let profile = &mut ctx.kernel(sm_id).stats.profile;
         profile.period = period;
         profile.absorb(sm_id, &sample);
     }
-    let CycleEvents { issues, pool, bank_q, .. } = events;
+    let CycleEvents { issues, pool, .. } = events;
     for (op_idx, ev) in issues.iter_mut().enumerate() {
-        apply_event(sm_id, slot_idx, op_idx as u32, ev, pool, now, machine, leader);
-    }
-    if bank_q.iter().any(|q| !q.is_empty()) {
-        machine.bank_flag.store(true, SeqCst);
+        apply_event(sm_id, slot_idx, op_idx as u32, ev, pool, now, ctx);
     }
 }
 
@@ -279,15 +214,13 @@ fn apply_event(
     ev: &mut IssueEvent,
     pool: &mut EventPool,
     now: u64,
-    machine: &Machine<'_>,
-    leader: &mut LeaderCtx<'_, '_>,
+    ctx: &mut CheckCtx<'_, '_>,
 ) {
-    // Every event costs the leader one walk step — the serial half of the
-    // `phase_b_serial_fraction` stat. Deterministic: the issue list is
-    // identical at every thread and bank count.
-    leader.kernel(sm_id).stats.phase_b_serial_items += 1;
+    // Every event costs the B-check one walk step — the serial half of
+    // the `phase_b_serial_fraction` stat.
+    ctx.kernel(sm_id).stats.phase_b_serial_items += 1;
     if let Some(op) = ev.opcode {
-        let stats = &mut *leader.kernel(sm_id).stats;
+        let stats = &mut *ctx.kernel(sm_id).stats;
         stats.issued += 1;
         match op.class() {
             OpcodeClass::IntAlu => stats.int_issued += 1,
@@ -299,40 +232,40 @@ fn apply_event(
         }
     }
     if let Some(space) = ev.mem_space {
-        leader.kernel(sm_id).stats.record_mem(space);
-        leader.sink.counters.inc(Scope::Sm(sm_id), "mem_insts");
+        ctx.kernel(sm_id).stats.record_mem(space);
+        ctx.sink.counters.inc(Scope::Sm(sm_id), "mem_insts");
     }
     let mnemonic = ev.opcode.map(|op| op.mnemonic()).unwrap_or("");
     ev.result = match ev.shared.take() {
         Some(SharedOp::MarkedInt { dst, pair, lanes }) => {
-            let r = apply_marked_int(sm_id, ev, mnemonic, dst, pair, &lanes, pool, now, leader);
+            let r = apply_marked_int(sm_id, ev, mnemonic, dst, pair, &lanes, pool, now, ctx);
             pool.put_triples(lanes);
             Some(r)
         }
         Some(SharedOp::Heap { dst, pair, malloc, lanes }) => {
-            let r = apply_heap(sm_id, ev, mnemonic, dst, pair, malloc, &lanes, pool, now, leader);
+            let r = apply_heap(sm_id, ev, mnemonic, dst, pair, malloc, &lanes, pool, now, ctx);
             pool.put_pairs(lanes);
             Some(r)
         }
         Some(op @ SharedOp::Mem { .. }) => {
-            // The mechanism check runs here (serial, canonical); timing and
-            // data movement were already routed to the banks in phase A and
-            // stay gated on this verdict. The op itself rides to phase C.
-            let verdict = check_mem(sm_id, slot_idx, op_idx, ev, &op, machine, leader, now);
+            // The mechanism check runs here; the memory pass's timing and
+            // data movement are gated on this verdict. The op itself rides
+            // to phase C.
+            let verdict = check_mem(sm_id, slot_idx, op_idx, ev, &op, ctx, now);
             ev.verdict = Some(verdict);
             ev.shared = Some(op);
             None
         }
         None => None,
     };
-    leader.sink.counters.inc(Scope::Sm(sm_id), "issued");
-    leader.sink.counters.inc(Scope::Warp { sm: sm_id, warp: ev.warp }, "issued");
+    ctx.sink.counters.inc(Scope::Sm(sm_id), "issued");
+    ctx.sink.counters.inc(Scope::Warp { sm: sm_id, warp: ev.warp }, "issued");
     let retiring = ev.retired_local
         || ev.result.as_ref().is_some_and(|r| r.retire)
         || ev.verdict.is_some_and(|v| v.cancelled);
-    if retiring && leader.sink.tracer.is_enabled() {
+    if retiring && ctx.sink.tracer.is_enabled() {
         // The warp retires this cycle: emit its residency span.
-        leader.sink.tracer.complete_with(
+        ctx.sink.tracer.complete_with(
             "warp",
             TraceEventKind::WarpSpan,
             sm_id,
@@ -355,21 +288,21 @@ fn apply_marked_int(
     lanes: &[(usize, u64, u64)],
     pool: &mut EventPool,
     now: u64,
-    leader: &mut LeaderCtx<'_, '_>,
+    ctx: &mut CheckCtx<'_, '_>,
 ) -> crate::sm::OpResult {
-    let mech_name = leader.kernel(sm_id).mechanism.name();
-    let issue_index = leader.kernel(sm_id).stats.issued;
+    let mech_name = ctx.kernel(sm_id).mechanism.name();
+    let issue_index = ctx.kernel(sm_id).stats.issued;
     let mut extra_delay = 0u32;
     let mut writes = pool.take_pairs();
     for &(l, input, raw) in lanes {
-        let mech = &mut leader.kernel(sm_id).mechanism;
+        let mech = &mut ctx.kernel(sm_id).mechanism;
         let check = mech.on_marked_int(input, raw);
         extra_delay = extra_delay.max(mech.marked_int_delay());
         writes.push((l, check.value));
         if check.poisoned {
             // Delayed termination (§XII-A): remember where the pointer died
             // so a later EC fault can report it.
-            leader.sink.forensics.record_poison(PoisonEvent {
+            ctx.sink.forensics.record_poison(PoisonEvent {
                 sm: sm_id,
                 warp: ev.warp,
                 lane: l,
@@ -378,9 +311,9 @@ fn apply_marked_int(
                 cycle: now,
                 instr_index: issue_index,
             });
-            leader.sink.counters.inc(Scope::Mechanism(mech_name), "poisoned");
-            if leader.sink.tracer.is_enabled() {
-                leader.sink.tracer.instant(
+            ctx.sink.counters.inc(Scope::Mechanism(mech_name), "poisoned");
+            if ctx.sink.tracer.is_enabled() {
+                ctx.sink.tracer.instant(
                     "poison",
                     TraceEventKind::OcuPoison,
                     sm_id,
@@ -391,9 +324,9 @@ fn apply_marked_int(
             }
         }
     }
-    leader.sink.counters.inc(Scope::Mechanism(mech_name), "checks");
-    if leader.sink.tracer.is_enabled() {
-        leader.sink.tracer.complete_with(
+    ctx.sink.counters.inc(Scope::Mechanism(mech_name), "checks");
+    if ctx.sink.tracer.is_enabled() {
+        ctx.sink.tracer.complete_with(
             mnemonic,
             TraceEventKind::OcuCheck,
             sm_id,
@@ -403,7 +336,7 @@ fn apply_marked_int(
             &[("pc", ev.pc as u64)],
         );
     }
-    let done_at = now + leader.cfg.int_latency as u64;
+    let done_at = now + ctx.cfg.int_latency as u64;
     crate::sm::OpResult {
         dst,
         pair,
@@ -429,14 +362,14 @@ fn apply_heap(
     lanes: &[(usize, u64)],
     pool: &mut EventPool,
     now: u64,
-    leader: &mut LeaderCtx<'_, '_>,
+    ctx: &mut CheckCtx<'_, '_>,
 ) -> crate::sm::OpResult {
     let mut writes = pool.take_pairs();
     let mut violation = None;
-    let issue_index = leader.kernel(sm_id).stats.issued;
+    let issue_index = ctx.kernel(sm_id).stats.issued;
     for &(l, value) in lanes {
         let gtid = ev.base_tid + l as u64;
-        let slot = leader.kernel(sm_id);
+        let slot = ctx.kernel(sm_id);
         if malloc {
             let ptr = slot.heap.malloc(gtid as usize, value).unwrap_or(0);
             writes.push((l, ptr));
@@ -456,7 +389,7 @@ fn apply_heap(
                 // pointer is poisoned *here*. Remember the site so a later
                 // use-after-free fault reports its poison-to-fault latency.
                 Ok(()) if slot.mechanism.nullifies_on_free() => {
-                    leader.sink.forensics.record_poison(PoisonEvent {
+                    ctx.sink.forensics.record_poison(PoisonEvent {
                         sm: sm_id,
                         warp: ev.warp,
                         lane: l,
@@ -470,29 +403,29 @@ fn apply_heap(
             }
         }
     }
-    let ready_mem_at = if malloc { Some(now + leader.cfg.heap_call_latency as u64) } else { None };
-    leader.sink.counters.inc(Scope::Sm(sm_id), "heap_calls");
-    if leader.sink.tracer.is_enabled() {
-        leader.sink.tracer.complete_with(
+    let ready_mem_at = if malloc { Some(now + ctx.cfg.heap_call_latency as u64) } else { None };
+    ctx.sink.counters.inc(Scope::Sm(sm_id), "heap_calls");
+    if ctx.sink.tracer.is_enabled() {
+        ctx.sink.tracer.complete_with(
             mnemonic,
             TraceEventKind::HeapCall,
             sm_id,
             ev.warp,
             now,
-            leader.cfg.heap_call_latency as u64,
+            ctx.cfg.heap_call_latency as u64,
             &[("pc", ev.pc as u64)],
         );
     }
     let mut retire = false;
     if let Some((lane, v)) = violation {
-        leader.kernel(sm_id).stats.violations.push(ViolationEvent {
+        ctx.kernel(sm_id).stats.violations.push(ViolationEvent {
             sm: sm_id,
             warp: ev.warp,
             pc: ev.pc,
             global_tid: ev.base_tid + lane as u64,
             violation: v,
         });
-        retire = leader.cfg.halt_on_violation;
+        retire = ctx.cfg.halt_on_violation;
     }
     crate::sm::OpResult {
         dst,
@@ -507,10 +440,9 @@ fn apply_heap(
     }
 }
 
-/// The mechanism check of a deferred memory access — the only part of a
-/// memory op the leader still runs. Produces the verdict the bank passes
-/// and phase C consume, charges the transaction statistics, and routes
-/// metadata fetches to their owning banks.
+/// The mechanism check of a deferred memory access. Produces the verdict
+/// the memory pass and phase C consume, charges the transaction
+/// statistics, and queues the mechanism's metadata fetches.
 #[allow(clippy::too_many_arguments)]
 fn check_mem(
     sm_id: usize,
@@ -518,24 +450,23 @@ fn check_mem(
     op_idx: u32,
     ev: &IssueEvent,
     op: &SharedOp,
-    machine: &Machine<'_>,
-    leader: &mut LeaderCtx<'_, '_>,
+    ctx: &mut CheckCtx<'_, '_>,
     now: u64,
 ) -> MemVerdict {
-    let SharedOp::Mem { width, is_store, space, lanes, line_count, bank_items, .. } = op else {
+    let SharedOp::Mem { width, is_store, space, lanes, line_count, mem_items, .. } = op else {
         unreachable!("check_mem is only called for SharedOp::Mem");
     };
     let pc = ev.pc;
     // `stats.issued` was already bumped for this instruction, so it is a
     // unique id shared by every lane of this warp-level issue.
-    let issue_index = leader.kernel(sm_id).stats.issued;
-    let mech_name = leader.kernel(sm_id).mechanism.name();
+    let issue_index = ctx.kernel(sm_id).stats.issued;
+    let mech_name = ctx.kernel(sm_id).mechanism.name();
     let mut survivors: crate::warp::LaneMask = 0;
     let mut faulted = false;
     let mut extra_cycles = 0u32;
-    leader.meta_scratch.clear();
-    for &lm in lanes {
-        let ctx = MemAccessCtx {
+    ctx.meta_scratch.clear();
+    for lm in lanes {
+        let access = MemAccessCtx {
             space: *space,
             raw: lm.raw,
             vaddr: lm.vaddr,
@@ -546,24 +477,24 @@ fn check_mem(
             lane: lm.lane,
             issue_index,
         };
-        let check = leader.kernel(sm_id).mechanism.on_mem_access(&ctx);
+        let check = ctx.kernel(sm_id).mechanism.on_mem_access(&access);
         extra_cycles = extra_cycles.max(check.extra_cycles);
         if let Some(addr) = check.metadata_addr {
-            leader.meta_scratch.push(addr);
+            ctx.meta_scratch.push(addr);
         }
         match check.violation {
             Some(v) => {
                 faulted = true;
-                leader.kernel(sm_id).stats.violations.push(ViolationEvent {
+                ctx.kernel(sm_id).stats.violations.push(ViolationEvent {
                     sm: sm_id,
                     warp: ev.warp,
                     pc,
-                    global_tid: ctx.global_tid,
+                    global_tid: access.global_tid,
                     violation: v,
                 });
-                leader.sink.counters.inc(Scope::Mechanism(mech_name), "faults");
-                if leader.sink.tracer.is_enabled() {
-                    leader.sink.tracer.instant(
+                ctx.sink.counters.inc(Scope::Mechanism(mech_name), "faults");
+                if ctx.sink.tracer.is_enabled() {
+                    ctx.sink.tracer.instant(
                         "fault",
                         TraceEventKind::EcFault,
                         sm_id,
@@ -575,7 +506,7 @@ fn check_mem(
                 // Close the poison→fault provenance loop (§XII-A): if this
                 // lane's pointer was poisoned earlier, report the latency
                 // between poisoning and detection.
-                if let Some(record) = leader.sink.forensics.record_fault(FaultEvent {
+                if let Some(record) = ctx.sink.forensics.record_fault(FaultEvent {
                     sm: sm_id,
                     warp: ev.warp,
                     lane: lm.lane,
@@ -583,136 +514,80 @@ fn check_mem(
                     cycle: now,
                     instr_index: issue_index,
                 }) {
-                    leader.kernel(sm_id).stats.forensics.push(record);
+                    ctx.kernel(sm_id).stats.forensics.push(record);
                 }
             }
             None => survivors |= 1 << lm.lane,
         }
     }
 
-    if faulted && leader.cfg.halt_on_violation {
+    if faulted && ctx.cfg.halt_on_violation {
         // The faulting access never issues: no timing, no data movement,
-        // no pc advance — the warp halts. The bank queues' entries for
-        // this op are skipped by the verdict gate.
+        // no pc advance — the warp halts. The memory pass skips the op.
         return MemVerdict { survivors, cancelled: true, extra_cycles };
     }
 
-    leader.kernel(sm_id).stats.transactions += line_count;
-    leader.sink.counters.add(Scope::Sm(sm_id), "transactions", *line_count);
+    ctx.kernel(sm_id).stats.transactions += line_count;
+    ctx.sink.counters.add(Scope::Sm(sm_id), "transactions", *line_count);
 
-    // Route the mechanism's metadata fetches (bounds must be known before
-    // the access may issue — check-before-access; the banks gate the data
-    // fills on the published metadata completion).
-    leader.meta_scratch.sort_unstable();
-    leader.meta_scratch.dedup();
-    let metas = leader.meta_scratch.len() as u64;
-    if metas > 0 {
-        for &addr in &leader.meta_scratch {
-            let bank = machine.router.bank_of(addr);
-            machine.meta_q[bank].lock().unwrap().push(MetaReq {
-                slot: slot_idx as u32,
-                op: op_idx,
-                local: machine.router.localize(addr),
-            });
-        }
-        machine.meta_flag.store(true, SeqCst);
-    }
-    leader.kernel(sm_id).stats.phase_b_banked_items += *bank_items as u64 + metas;
+    // Queue the mechanism's metadata fetches (bounds must be known before
+    // the access may issue — check-before-access; the memory pass starts
+    // the data fills once the metadata arrived).
+    ctx.meta_scratch.sort_unstable();
+    ctx.meta_scratch.dedup();
+    let metas = ctx.meta_scratch.len() as u64;
+    let CheckCtx { meta_scratch, meta_q, .. } = &mut *ctx;
+    meta_q.extend(meta_scratch.iter().map(|&addr| MetaReq {
+        slot: slot_idx as u32,
+        op: op_idx,
+        addr,
+    }));
+    ctx.kernel(sm_id).stats.phase_b_banked_items += *mem_items as u64 + metas;
     MemVerdict { survivors, cancelled: false, extra_cycles }
 }
 
 // ---------------------------------------------------------------------------
-// Bank passes.
+// Memory pass and phase B-final.
 
-/// The banks this worker owns: a fixed interleaved assignment, so a bank is
-/// applied by the same thread every cycle (cache-warm) and by construction
-/// never by two threads at once.
-fn owned_banks(banks: usize, t: usize, threads: usize) -> impl Iterator<Item = usize> {
-    (t..banks).step_by(threads.max(1))
-}
-
-/// Metadata pass: each bank performs its queued metadata fetches in
-/// canonical (slot, op, address) order — exactly the order the leader
-/// enqueued them — and publishes each op's completion cycle.
-fn meta_pass(
-    slots: &[RwLock<SmSlot<'_>>],
-    machine: &Machine<'_>,
+/// Memory pass of one SM: each live memory op, in issue order, fills its
+/// L1-missed lines through the shared L2/MSHR/DRAM (starting once its
+/// metadata arrived) and moves every surviving lane's bytes through the
+/// functional store. A cancelled (halting) op does neither.
+fn memory_pass(
+    events: &mut CycleEvents,
+    hierarchy: &mut MemorySystem,
+    store: &mut SparseMemory,
     now: u64,
-    t: usize,
-    threads: usize,
 ) {
-    for b in owned_banks(machine.banks, t, threads) {
-        let mut q = machine.meta_q[b].lock().unwrap();
-        if q.is_empty() {
+    for ev in &mut events.issues {
+        let Some(SharedOp::Mem { width, is_store, lanes, lines, missed, .. }) = &mut ev.shared
+        else {
+            continue;
+        };
+        let v = ev.verdict.expect("mem op verdict set in B-check");
+        if v.cancelled {
             continue;
         }
-        let mut cell = machine.cells[b].lock().unwrap();
-        for req in q.iter() {
-            let done = cell.timing.access(req.local, now);
-            let s = slots[req.slot as usize].read().unwrap();
-            s.events.issues[req.op as usize].meta_done.fetch_max(done, SeqCst);
+        let start = now.max(ev.meta_done);
+        for (i, &line) in lines.iter().enumerate() {
+            if *missed & (1 << i) != 0 {
+                ev.data_done = ev.data_done.max(hierarchy.access(line, start));
+            }
         }
-        q.clear();
-    }
-}
-
-/// Bank pass: each bank drains every SM's queue for it, slots ascending,
-/// queue order within a slot — the canonical order restricted to this
-/// bank's (disjoint) slice of the address space.
-fn bank_pass(
-    slots: &[RwLock<SmSlot<'_>>],
-    machine: &Machine<'_>,
-    now: u64,
-    t: usize,
-    threads: usize,
-) {
-    for b in owned_banks(machine.banks, t, threads) {
-        let mut cell = machine.cells[b].lock().unwrap();
-        let BankCell { timing, store } = &mut *cell;
-        for slot in slots {
-            let s = slot.read().unwrap();
-            for req in &s.events.bank_q[b] {
-                match *req {
-                    BankReq::Fill { op, local } => {
-                        let ev = &s.events.issues[op as usize];
-                        let v = ev.verdict.expect("mem op verdict set in B-check");
-                        if v.cancelled {
-                            continue;
-                        }
-                        let start = now.max(ev.meta_done.load(SeqCst));
-                        let done = timing.access(local, start);
-                        ev.data_done.fetch_max(done, SeqCst);
-                    }
-                    BankReq::Move { op, lane_pos, local, width, shift, value } => {
-                        let ev = &s.events.issues[op as usize];
-                        let v = ev.verdict.expect("mem op verdict set in B-check");
-                        if v.cancelled {
-                            continue;
-                        }
-                        let Some(SharedOp::Mem { is_store, lanes, atoms, .. }) = &ev.shared else {
-                            unreachable!("Move targets a memory op");
-                        };
-                        if v.survivors & (1 << lanes[lane_pos as usize].lane) == 0 {
-                            continue;
-                        }
-                        if *is_store {
-                            store.write(local, value, width);
-                        } else {
-                            let part = store.read(local, width) << (8 * shift as u32);
-                            atoms[lane_pos as usize].fetch_or(part, SeqCst);
-                        }
-                    }
-                }
+        for lm in lanes.iter_mut().filter(|lm| v.survivors & (1 << lm.lane) != 0) {
+            if *is_store {
+                store.write(lm.vaddr, lm.data, *width);
+            } else {
+                lm.data = store.read(lm.vaddr, *width);
             }
         }
     }
 }
 
 /// Phase B-final (tracer runs only): emit one memory-transaction span per
-/// live memory op, from the completion times the banks published.
-fn b_final(slots: &[RwLock<SmSlot<'_>>], leader: &mut LeaderCtx<'_, '_>, now: u64) {
-    for slot in slots {
-        let s = slot.read().unwrap();
+/// live memory op, from the completion times the memory passes produced.
+fn b_final(slots: &[SmSlot<'_>], ctx: &mut CheckCtx<'_, '_>, now: u64) {
+    for s in slots {
         for ev in &s.events.issues {
             let Some(SharedOp::Mem { line_count, .. }) = &ev.shared else {
                 continue;
@@ -721,9 +596,9 @@ fn b_final(slots: &[RwLock<SmSlot<'_>>], leader: &mut LeaderCtx<'_, '_>, now: u6
             if v.cancelled || v.survivors == 0 {
                 continue;
             }
-            let done = ev.mem_done_at(now, leader.cfg).expect("live mem op completes");
+            let done = ev.mem_done_at(now, ctx.cfg).expect("live mem op completes");
             let mnemonic = ev.opcode.map(|op| op.mnemonic()).unwrap_or("");
-            leader.sink.tracer.complete_with(
+            ctx.sink.tracer.complete_with(
                 mnemonic,
                 TraceEventKind::MemTransaction,
                 s.sm.id,
@@ -738,290 +613,4 @@ fn b_final(slots: &[RwLock<SmSlot<'_>>], leader: &mut LeaderCtx<'_, '_>, now: u6
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// The cycle loop.
-
-/// Per-cycle reduction accumulator (one of two, indexed by iteration
-/// parity: the off-parity buffer is reset by the leader during phase B
-/// while every worker is parked between barriers).
-struct CycleAcc {
-    issued_any: AtomicBool,
-    next_ready: AtomicU64,
-    all_done: AtomicBool,
-}
-
-impl CycleAcc {
-    fn new() -> CycleAcc {
-        CycleAcc {
-            issued_any: AtomicBool::new(false),
-            next_ready: AtomicU64::new(u64::MAX),
-            all_done: AtomicBool::new(true),
-        }
-    }
-
-    fn reset(&self) {
-        self.issued_any.store(false, SeqCst);
-        self.next_ready.store(u64::MAX, SeqCst);
-        self.all_done.store(true, SeqCst);
-    }
-}
-
-/// Decides the next cycle from a fully-accumulated [`CycleAcc`]; `None`
-/// terminates. Pure, so every thread reaches the same answer.
-fn advance(now: u64, acc: &CycleAcc) -> Option<u64> {
-    if acc.all_done.load(SeqCst) {
-        return None;
-    }
-    let next = if acc.issued_any.load(SeqCst) || acc.next_ready.load(SeqCst) == u64::MAX {
-        now + 1
-    } else {
-        // Fast-forward over scoreboard stalls.
-        acc.next_ready.load(SeqCst).max(now + 1)
-    };
-    debug_assert!(next < 1_000_000_000, "runaway simulation");
-    Some(next)
-}
-
-/// A reusable sense-reversing spin barrier (simulated cycles are far too
-/// short for `std::sync::Barrier`'s mutex+condvar round trip).
-struct SpinBarrier {
-    parties: usize,
-    count: AtomicUsize,
-    sense: AtomicBool,
-}
-
-impl SpinBarrier {
-    fn new(parties: usize) -> SpinBarrier {
-        SpinBarrier { parties, count: AtomicUsize::new(0), sense: AtomicBool::new(false) }
-    }
-
-    fn wait(&self, local_sense: &mut bool) {
-        let target = !*local_sense;
-        *local_sense = target;
-        if self.count.fetch_add(1, SeqCst) == self.parties - 1 {
-            // Last arrival: reset the count *before* releasing (a released
-            // thread may re-enter the barrier immediately).
-            self.count.store(0, SeqCst);
-            self.sense.store(target, SeqCst);
-        } else {
-            let mut spins = 0u32;
-            while self.sense.load(std::sync::atomic::Ordering::Acquire) != target {
-                spins = spins.wrapping_add(1);
-                if spins & 0x3F == 0 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-}
-
-/// Shared control block of one parallel run.
-struct Ctl {
-    barrier: SpinBarrier,
-    acc: [CycleAcc; 2],
-    /// A phase body panicked somewhere; everyone drains out at the next
-    /// barrier.
-    poisoned: AtomicBool,
-    payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl Ctl {
-    fn new(parties: usize) -> Ctl {
-        Ctl {
-            barrier: SpinBarrier::new(parties),
-            acc: [CycleAcc::new(), CycleAcc::new()],
-            poisoned: AtomicBool::new(false),
-            payload: Mutex::new(None),
-        }
-    }
-
-    /// Runs one phase body, converting a panic into pool-wide poisoning
-    /// (the thread keeps participating in barriers so nobody deadlocks).
-    fn guard(&self, f: impl FnOnce()) {
-        if self.poisoned.load(SeqCst) {
-            return;
-        }
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(f)) {
-            self.poisoned.store(true, SeqCst);
-            let mut slot = self.payload.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-    }
-
-    /// Barrier + poison check; `false` means "drain out now".
-    fn sync(&self, sense: &mut bool) -> bool {
-        self.barrier.wait(sense);
-        !self.poisoned.load(SeqCst)
-    }
-}
-
-fn phase_a_range(
-    slots: &[RwLock<SmSlot<'_>>],
-    machine: &Machine<'_>,
-    range: &Range<usize>,
-    now: u64,
-    cfg: &GpuConfig,
-    acc: &CycleAcc,
-) {
-    let mut issued = false;
-    let mut next = u64::MAX;
-    for slot in &slots[range.clone()] {
-        let mut s = slot.write().unwrap();
-        let SmSlot { sm, l1, events } = &mut *s;
-        let outcome = sm.step_phase_a(now, cfg, events, l1, &machine.router);
-        issued |= outcome.issued_any;
-        next = next.min(outcome.next_ready);
-    }
-    if issued {
-        acc.issued_any.store(true, SeqCst);
-    }
-    acc.next_ready.fetch_min(next, SeqCst);
-}
-
-fn phase_c_range(
-    slots: &[RwLock<SmSlot<'_>>],
-    range: &Range<usize>,
-    now: u64,
-    cfg: &GpuConfig,
-    acc: &CycleAcc,
-) {
-    let mut all = true;
-    for slot in &slots[range.clone()] {
-        let mut s = slot.write().unwrap();
-        let SmSlot { sm, events, .. } = &mut *s;
-        sm.apply_results(events, now, cfg);
-        all &= sm.all_done();
-    }
-    if !all {
-        acc.all_done.store(false, SeqCst);
-    }
-}
-
-/// The conditional bank barriers of one cycle: every thread reads the
-/// schedule flags (published by the leader before the B-check barrier
-/// released), so the barrier count always agrees. Returns `false` on
-/// poisoning.
-fn bank_sync_phases(
-    slots: &[RwLock<SmSlot<'_>>],
-    machine: &Machine<'_>,
-    now: u64,
-    t: usize,
-    threads: usize,
-    ctl: &Ctl,
-    sense: &mut bool,
-) -> bool {
-    if machine.meta_flag.load(SeqCst) {
-        ctl.guard(|| meta_pass(slots, machine, now, t, threads));
-        if !ctl.sync(sense) {
-            return false;
-        }
-    }
-    if machine.bank_flag.load(SeqCst) {
-        ctl.guard(|| bank_pass(slots, machine, now, t, threads));
-        if !ctl.sync(sense) {
-            return false;
-        }
-    }
-    true
-}
-
-fn worker_loop(
-    slots: &[RwLock<SmSlot<'_>>],
-    machine: &Machine<'_>,
-    range: Range<usize>,
-    t: usize,
-    threads: usize,
-    cfg: &GpuConfig,
-    ctl: &Ctl,
-) {
-    let mut sense = false;
-    let mut now = 0u64;
-    let mut parity = 0usize;
-    loop {
-        ctl.guard(|| phase_a_range(slots, machine, &range, now, cfg, &ctl.acc[parity]));
-        if !ctl.sync(&mut sense) {
-            break; // A-done
-        }
-        if !ctl.sync(&mut sense) {
-            break; // B-check done (the leader ran the serial section)
-        }
-        if !bank_sync_phases(slots, machine, now, t, threads, ctl, &mut sense) {
-            break;
-        }
-        if machine.tracer_on && !ctl.sync(&mut sense) {
-            break; // B-final done (leader-only span emission)
-        }
-        ctl.guard(|| phase_c_range(slots, &range, now, cfg, &ctl.acc[parity]));
-        if !ctl.sync(&mut sense) {
-            break; // C-done
-        }
-        match advance(now, &ctl.acc[parity]) {
-            Some(next) => now = next,
-            None => break,
-        }
-        parity ^= 1;
-    }
-}
-
-fn leader_loop(
-    slots: &[RwLock<SmSlot<'_>>],
-    machine: &Machine<'_>,
-    range: Range<usize>,
-    threads: usize,
-    leader: &mut LeaderCtx<'_, '_>,
-    ctl: &Ctl,
-) -> u64 {
-    let cfg = *leader.cfg;
-    let mut sense = false;
-    let mut now = 0u64;
-    let mut parity = 0usize;
-    loop {
-        ctl.guard(|| phase_a_range(slots, machine, &range, now, &cfg, &ctl.acc[parity]));
-        if !ctl.sync(&mut sense) {
-            break;
-        }
-        // Phase B-check: the serial section, ascending slot order. The
-        // schedule flags are published before the barrier releases, so
-        // every thread agrees on this cycle's barrier count.
-        ctl.guard(|| {
-            machine.meta_flag.store(false, SeqCst);
-            machine.bank_flag.store(false, SeqCst);
-            for (slot_idx, slot) in slots.iter().enumerate() {
-                let mut s = slot.write().unwrap();
-                let SmSlot { sm, events, .. } = &mut *s;
-                apply_cycle(sm.id, slot_idx, events, now, machine, leader);
-            }
-            // Workers are parked between the A and C barriers: safe to
-            // recycle the off-parity accumulator for the next cycle.
-            ctl.acc[parity ^ 1].reset();
-        });
-        if !ctl.sync(&mut sense) {
-            break;
-        }
-        if !bank_sync_phases(slots, machine, now, 0, threads, ctl, &mut sense) {
-            break;
-        }
-        if machine.tracer_on {
-            ctl.guard(|| b_final(slots, leader, now));
-            if !ctl.sync(&mut sense) {
-                break;
-            }
-        }
-        ctl.guard(|| phase_c_range(slots, &range, now, &cfg, &ctl.acc[parity]));
-        if !ctl.sync(&mut sense) {
-            break;
-        }
-        match advance(now, &ctl.acc[parity]) {
-            Some(next) => now = next,
-            None => break,
-        }
-        parity ^= 1;
-    }
-    now
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use lmi_alloc::{AlignmentPolicy, DeviceHeap};
 use lmi_core::PtrConfig;
 use lmi_isa::DecodedStream;
-use lmi_mem::{layout, BankedHierarchy, BankedMemory, Cache, CacheStats};
+use lmi_mem::{layout, Cache, CacheStats, MemorySystem, SparseMemory};
 use lmi_telemetry::{Scope, TelemetrySink};
 
 use crate::config::GpuConfig;
@@ -85,12 +85,10 @@ pub struct Gpu {
     /// here so warmth and statistics persist across launches; each run
     /// lends the engine one `&mut Cache` per participating SM.
     l1: Vec<Cache>,
-    /// The banked shared memory system: L2 slices, MSHRs, DRAM channel
-    /// groups (`cfg.mem_banks` address-interleaved banks).
-    hierarchy: BankedHierarchy,
-    /// Functional backing store for all address spaces, sharded like the
-    /// timing hierarchy.
-    pub memory: BankedMemory,
+    /// The shared memory system: L2, MSHRs, DRAM.
+    hierarchy: MemorySystem,
+    /// Functional backing store for all address spaces.
+    pub memory: SparseMemory,
     heap: DeviceHeap,
 }
 
@@ -98,11 +96,9 @@ pub struct Gpu {
 /// [`Gpu::snapshot`] and re-applied with [`Gpu::restore`].
 ///
 /// Snapshots are the conformance suite's replay entry point: capture the
-/// seeded input image once, restore it into a fresh [`Gpu`] per engine
-/// configuration (`sim_threads` × `mem_banks`), run the same launch, and
-/// compare post-run snapshots — `PartialEq` makes "bit-identical memory"
-/// a single assertion. The capture is bank-layout independent, so images
-/// move freely between monolithic and sharded GPUs.
+/// seeded input image once, restore it into a fresh [`Gpu`] per mechanism
+/// and engine point, run the same launch, and compare post-run snapshots
+/// — `PartialEq` makes "bit-identical memory" a single assertion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemorySnapshot {
     /// `(base address, bytes)` pairs, in capture order.
@@ -130,12 +126,11 @@ impl Gpu {
     /// Creates a GPU with an explicit device-heap policy (the unprotected
     /// baseline uses [`AlignmentPolicy::CudaDefault`]).
     pub fn with_heap_policy(cfg: GpuConfig, policy: AlignmentPolicy) -> Gpu {
-        let banks = cfg.resolve_mem_banks();
         Gpu {
             cfg,
             l1: (0..cfg.num_sms).map(|_| Cache::new(cfg.hierarchy.l1)).collect(),
-            hierarchy: BankedHierarchy::new(cfg.hierarchy, banks),
-            memory: BankedMemory::new(banks, cfg.hierarchy.l2.line_bytes),
+            hierarchy: MemorySystem::new(&cfg.hierarchy),
+            memory: SparseMemory::new(),
             heap: DeviceHeap::new(
                 PtrConfig::default(),
                 policy,
@@ -156,7 +151,7 @@ impl Gpu {
         &self.heap
     }
 
-    /// Total DRAM transactions issued so far (summed over banks).
+    /// Total DRAM transactions issued so far.
     pub fn dram_transactions(&self) -> u64 {
         self.hierarchy.dram_transactions()
     }
@@ -166,24 +161,9 @@ impl Gpu {
         self.l1[sm].stats()
     }
 
-    /// Shared L2 statistics (summed over banks).
+    /// Shared L2 statistics.
     pub fn l2_stats(&self) -> lmi_mem::CacheStats {
         self.hierarchy.l2_stats()
-    }
-
-    /// The effective memory-bank count this GPU was built with.
-    pub fn mem_banks(&self) -> usize {
-        self.hierarchy.num_banks()
-    }
-
-    /// Per-bank L2 statistics (index = bank id).
-    pub fn l2_stats_per_bank(&self) -> Vec<lmi_mem::CacheStats> {
-        self.hierarchy.banks().iter().map(|b| b.l2_stats()).collect()
-    }
-
-    /// Per-bank DRAM transaction counts (index = bank id).
-    pub fn dram_transactions_per_bank(&self) -> Vec<u64> {
-        self.hierarchy.banks().iter().map(|b| b.dram_transactions()).collect()
     }
 
     /// Captures the functional contents of `(base, len)` address ranges.
@@ -288,12 +268,7 @@ impl Gpu {
         let dram_before = self.hierarchy.dram_transactions();
 
         let mut stats = SimStats::default();
-        let threads = self.cfg.resolve_sim_threads();
         let cycle = {
-            // The shared-state context is built once per run (it used to be
-            // re-assembled per SM per cycle) and handed to the engine, which
-            // picks the serial or the parallel driver; both are
-            // bit-identical (see `crate::engine`).
             let mut shared = SharedCtx {
                 hierarchy: &mut self.hierarchy,
                 memory: &mut self.memory,
@@ -302,7 +277,7 @@ impl Gpu {
                 cfg: &self.cfg,
                 sink: &mut *sink,
             };
-            engine::run(&mut sms, self.l1.iter_mut().collect(), &mut shared, threads)
+            engine::run(&mut sms, self.l1.iter_mut().collect(), &mut shared)
         };
         stats.cycles = cycle.max(1);
 
@@ -333,9 +308,8 @@ impl Gpu {
     /// Runs a *cohort* of kernels resident together: each kernel occupies
     /// its own SM partition, owns its own mechanism/heap/stats, and is
     /// admitted at its `start_offset`, while all of them contend for the
-    /// shared L2/MSHR/DRAM. One engine run simulates the whole cohort, so
-    /// the result is bit-identical at every `sim_threads` — this is the
-    /// primitive `lmi-runtime` builds streams on.
+    /// shared L2/MSHR/DRAM. One engine run simulates the whole cohort —
+    /// this is the primitive `lmi-runtime` builds streams on.
     ///
     /// Every launch is validated against its partition before anything
     /// runs: on error the GPU state is untouched.
@@ -412,7 +386,6 @@ impl Gpu {
         let dram_before = self.hierarchy.dram_transactions();
 
         let mut stats: Vec<SimStats> = jobs.iter().map(|_| SimStats::default()).collect();
-        let threads = self.cfg.resolve_sim_threads();
         let makespan = {
             let kernels: Vec<KernelSlot> = jobs
                 .iter_mut()
@@ -447,7 +420,7 @@ impl Gpu {
                 .filter(|(id, _)| used[*id])
                 .map(|(_, c)| c)
                 .collect();
-            engine::run(&mut sms, l1s, &mut shared, threads)
+            engine::run(&mut sms, l1s, &mut shared)
         };
 
         let delta = |after: CacheStats, before: CacheStats| CacheStats {

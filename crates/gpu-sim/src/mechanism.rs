@@ -40,8 +40,8 @@ pub struct MemAccessCtx {
     /// Lane index within the warp.
     pub lane: usize,
     /// Global warp-level issue sequence number of the instruction this lane
-    /// belongs to. All lanes of one issue share it, so per-pc attribution
-    /// can count warp-level issues exactly (see `trace::CountingTap`).
+    /// belongs to. All lanes of one issue share it, so a mechanism can tell
+    /// warp-level issues apart.
     pub issue_index: u64,
 }
 

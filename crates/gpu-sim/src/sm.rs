@@ -1,34 +1,28 @@
 //! The streaming multiprocessor: warp schedulers, issue, and execution.
 //!
-//! Execution of one cycle is split into three phases so the engine
-//! (`crate::engine`) can run SMs on worker threads while staying
-//! bit-identical to serial execution:
+//! Execution of one cycle is split into three phases (driven by
+//! `crate::engine`):
 //!
 //! * **Phase A** (`Sm::step_phase_a`) — scheduling, operand fetch, ALU
 //!   execution, address generation, and the SM-local L1 probe. Touches
 //!   *only* this SM's state (warps, decoded stream, launch context, its
-//!   own L1), so any number of SMs can run phase A concurrently. L1 hits
-//!   never cross the barrier; L1-missed lines and per-lane data movement
-//!   are routed into per-bank queues (`BankReq`) for the bank-parallel
-//!   apply. Operations that must touch genuinely global state (the device
-//!   heap, the mechanism, statistics, telemetry) are recorded as
-//!   `SharedOp`s on the cycle's `IssueEvent` list.
-//! * **Phase B** (`engine`) — a thin leader step walks every SM's events
-//!   in canonical (sm, scheduler) order: mechanism checks (producing a
+//!   own L1). Operations that must touch shared state (the device heap,
+//!   the mechanism, statistics, telemetry, the L2 and the functional
+//!   store) are recorded as `SharedOp`s on the cycle's `IssueEvent` list;
+//!   a memory op carries its coalesced lines and which of them missed L1.
+//! * **Phase B** (`engine`) — one walk over every SM's events in
+//!   canonical (SM, scheduler) order: mechanism checks (producing a
 //!   `MemVerdict` per memory op), heap calls, stats/counter/tracer
-//!   absorption. Then the address-interleaved memory banks apply their
-//!   queues concurrently — each bank in canonical order, so cache hit/miss
-//!   sequences, heap allocation order, counters and forensics are
-//!   independent of both the thread count and the bank count.
-//! * **Phase C** (`Sm::apply_results`) — each SM (again concurrently)
-//!   writes the phase-B results back into its warps: register writes,
-//!   scoreboard ready times, pc advance, retirement, barrier release.
-//!   Memory-op timing is assembled here from the bank-written atomics.
+//!   absorption. Then the metadata and memory passes run the ops' L2
+//!   fills and byte movement in the same canonical order.
+//! * **Phase C** (`Sm::apply_results`) — each SM writes the phase-B
+//!   results back into its warps: register writes, scoreboard ready
+//!   times, pc advance, retirement, barrier release.
 //!
 //! Deferred results only become architecturally visible at the next cycle
 //! (loads have multi-cycle latency; the issuing warp cannot issue again
 //! this cycle), so deferring them within the cycle does not change what any
-//! phase-A code can observe — the equivalence argument for determinism.
+//! phase-A code can observe.
 //!
 //! ## Allocation discipline
 //!
@@ -40,12 +34,11 @@
 //! payload (`SharedOp`/`OpResult` lane and line lists) is drawn from the
 //! per-SM `EventPool` and returned to it after application.
 
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use lmi_core::ptr::ADDR_MASK;
 use lmi_isa::{abi, DecodedInstr, DecodedStream, MemSpace, Opcode, OpcodeClass, Operand, Reg};
-use lmi_mem::{layout, BankRouter, Cache};
+use lmi_mem::{layout, Cache};
 use lmi_telemetry::{SmSample, WarpState};
 
 use crate::config::{GpuConfig, WARP_SIZE};
@@ -113,10 +106,9 @@ pub(crate) struct Sm {
     greedy: Vec<Option<usize>>,
     /// Blocks resident on this SM (for barrier release).
     blocks: Vec<BlockBarrier>,
-    /// First cycle at which every resident warp had retired. Set in phase C
-    /// with the cycle both drivers pass in, so it is identical at every
-    /// thread count; resident multi-kernel runs use it for per-kernel
-    /// completion times.
+    /// First cycle at which every resident warp had retired, set in phase
+    /// C; resident multi-kernel runs use it for per-kernel completion
+    /// times.
     pub done_cycle: Option<u64>,
 }
 
@@ -156,8 +148,8 @@ pub(crate) struct LaneMem {
     pub vaddr: u64,
     /// Address used for coalescing/timing (local-space interleaving).
     pub timing_addr: u64,
-    /// Store data (zero for loads).
-    pub store_value: u64,
+    /// Store data; for loads, the loaded value once the memory pass ran.
+    pub data: u64,
 }
 
 /// A shared-state operation deferred from phase A to phase B.
@@ -168,9 +160,9 @@ pub(crate) enum SharedOp {
     MarkedInt { dst: Reg, pair: bool, lanes: Vec<(usize, u64, u64)> },
     /// A device-heap call. `(lane, size_or_ptr)`.
     Heap { dst: Reg, pair: bool, malloc: bool, lanes: Vec<(usize, u64)> },
-    /// A non-constant memory access. Timing and data movement were routed
-    /// into the per-bank queues during phase A; the leader's B-check only
-    /// runs the mechanism and accounting on `lanes`.
+    /// A non-constant memory access. The B-check runs the mechanism and
+    /// accounting on `lanes`; the memory pass then fills the `missed`
+    /// lines and moves the surviving lanes' bytes.
     Mem {
         dst: Reg,
         pair: bool,
@@ -178,38 +170,24 @@ pub(crate) enum SharedOp {
         is_store: bool,
         space: MemSpace,
         lanes: Vec<LaneMem>,
+        /// Coalesced line addresses (empty for shared-space ops).
+        lines: Vec<u64>,
+        /// Bit `i` set: `lines[i]` missed the SM-local L1.
+        missed: u64,
         /// Coalesced line count (1 for shared-space ops): the transaction
         /// count charged by the B-check.
         line_count: u64,
         /// At least one coalesced line hit the SM-local L1 in phase A.
         l1_hit: bool,
-        /// Bank-queue entries this op contributed (fills + moves), for the
+        /// Memory-pass work units of this op (L1-missed line fills plus
+        /// lane byte moves, a line-straddling lane counting twice), for the
         /// `phase_b_banked_items` stat.
-        bank_items: u32,
-        /// Per-lane load data, OR-combined by the owning bank(s); indexed
-        /// like `lanes`. Empty for stores.
-        atoms: Vec<AtomicU64>,
+        mem_items: u32,
     },
 }
 
-/// One entry of a per-SM per-bank queue, enqueued during phase A and
-/// applied by the owning bank's worker in canonical (SM, issue, queue)
-/// order. `op` indexes the SM's [`CycleEvents::issues`] list; addresses
-/// are bank-compacted ([`BankRouter::localize`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum BankReq {
-    /// Timing: an L1-missed coalesced line fill through the bank's
-    /// L2/MSHR/DRAM slice.
-    Fill { op: u32, local: u64 },
-    /// Functional: one lane's data movement (one part of it, if the access
-    /// straddles a line boundary). For stores `value` carries the
-    /// pre-shifted store bytes; for loads the bank ORs
-    /// `read(local, width) << 8*shift` into the op's lane atom.
-    Move { op: u32, lane_pos: u16, local: u64, width: u8, shift: u8, value: u64 },
-}
-
-/// The leader B-check's verdict on one memory op, consumed by the bank
-/// passes (gating) and phase C (assembly).
+/// The B-check's verdict on one memory op, consumed by the memory pass
+/// (gating) and phase C (assembly).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MemVerdict {
     /// Lanes that passed the mechanism check.
@@ -258,27 +236,24 @@ pub(crate) struct IssueEvent {
     pub result: Option<OpResult>,
     /// B-check verdict for a deferred memory op (`None` otherwise).
     pub verdict: Option<MemVerdict>,
-    /// Completion cycle of this op's metadata fetches (`fetch_max`ed by the
-    /// banks' metadata pass; 0 when the mechanism fetched none). Atomic
-    /// because several banks may fetch for one op concurrently.
-    pub meta_done: AtomicU64,
-    /// Completion cycle of this op's slowest L1-missed line fill
-    /// (`fetch_max`ed by the banks' data pass; 0 when every line hit L1).
-    pub data_done: AtomicU64,
+    /// Completion cycle of this op's slowest metadata fetch (0 when the
+    /// mechanism fetched none).
+    pub meta_done: u64,
+    /// Completion cycle of this op's slowest L1-missed line fill (0 when
+    /// every line hit L1).
+    pub data_done: u64,
 }
 
 /// Typed freelists for the deferred-op payload buffers. Phase A draws
 /// empty (but capacity-retaining) `Vec`s, phase B/C return them after
 /// consumption, so in steady state no cycle touches the heap. Each SM owns
-/// one pool inside its [`CycleEvents`]; the single-leader apply phase has
-/// exclusive access to the owning SM's pool while applying its events.
+/// one pool inside its [`CycleEvents`].
 #[derive(Debug, Default)]
 pub(crate) struct EventPool {
     lane_mem: Vec<Vec<LaneMem>>,
     pairs: Vec<Vec<(usize, u64)>>,
     triples: Vec<Vec<(usize, u64, u64)>>,
     lines: Vec<Vec<u64>>,
-    atoms: Vec<Vec<AtomicU64>>,
 }
 
 impl EventPool {
@@ -317,15 +292,6 @@ impl EventPool {
         v.clear();
         self.lines.push(v);
     }
-
-    pub fn take_atoms(&mut self) -> Vec<AtomicU64> {
-        self.atoms.pop().unwrap_or_default()
-    }
-
-    pub fn put_atoms(&mut self, mut v: Vec<AtomicU64>) {
-        v.clear();
-        self.atoms.push(v);
-    }
 }
 
 /// Everything one SM produced in one cycle.
@@ -340,11 +306,6 @@ pub(crate) struct CycleEvents {
     pub sample: Option<SmSample>,
     /// Recycled payload buffers; survives `clear()` by design.
     pub pool: EventPool,
-    /// Per-bank request queues filled during phase A and drained by the
-    /// banks' apply passes, in canonical intra-SM order. Sized once per
-    /// run ([`CycleEvents::ensure_banks`]); inner capacity survives
-    /// `clear()` so the steady state stays allocation-free.
-    pub bank_q: Vec<Vec<BankReq>>,
 }
 
 impl CycleEvents {
@@ -352,22 +313,12 @@ impl CycleEvents {
         self.issues.clear();
         self.stalls = [0; 4];
         self.sample = None;
-        for q in &mut self.bank_q {
-            q.clear();
-        }
-    }
-
-    /// Sizes the per-bank queues for `banks` banks (run start).
-    pub fn ensure_banks(&mut self, banks: usize) {
-        if self.bank_q.len() != banks {
-            self.bank_q.resize_with(banks, Vec::new);
-        }
     }
 }
 
 impl IssueEvent {
     /// Completion cycle of a deferred memory op, assembled from the
-    /// bank-written atomics: metadata fetches gate the access start
+    /// metadata and memory passes: metadata fetches gate the access start
     /// (check-before-access), then the slowest of the bank fills, the
     /// SM-local L1 hit path and the shared-memory path completes it, plus
     /// the mechanism's extra latency. `None` for non-memory events and for
@@ -380,8 +331,8 @@ impl IssueEvent {
         if v.cancelled {
             return None;
         }
-        let start = now.max(self.meta_done.load(SeqCst));
-        let mut done = start.max(self.data_done.load(SeqCst));
+        let start = now.max(self.meta_done);
+        let mut done = start.max(self.data_done);
         if *l1_hit {
             done = done.max(start + cfg.hierarchy.l1.hit_latency as u64);
         }
@@ -439,14 +390,13 @@ impl Sm {
     /// Phase A of one cycle: each scheduler issues at most one instruction
     /// (GTO pick), executing SM-local work immediately — including the
     /// probe of this SM's own L1 (`l1`) — and recording shared-state work
-    /// into `out` (bank-routed via `router`). Reads no shared state.
+    /// into `out`. Reads no shared state.
     pub fn step_phase_a(
         &mut self,
         now: u64,
         cfg: &GpuConfig,
         out: &mut CycleEvents,
         l1: &mut Cache,
-        router: &BankRouter,
     ) -> StepOutcome {
         out.clear();
         if self.greedy.len() != cfg.schedulers_per_sm {
@@ -523,11 +473,8 @@ impl Sm {
             }
             match picked {
                 Some(w) => {
-                    let CycleEvents { issues, pool, bank_q, .. } = out;
-                    let op_idx = issues.len() as u32;
-                    let ev =
-                        self.issue_phase_a(&stream, w, now, cfg, pool, bank_q, op_idx, l1, router);
-                    issues.push(ev);
+                    let ev = self.issue_phase_a(&stream, w, now, cfg, &mut out.pool, l1);
+                    out.issues.push(ev);
                     self.greedy[sched] = Some(w);
                     issued_any = true;
                     // The warp can issue again next cycle (in-order).
@@ -549,8 +496,7 @@ impl Sm {
 
     /// Classifies every resident warp for the sampling profiler. Runs in
     /// phase A on SM-local state only (warp flags, scoreboard times, this
-    /// cycle's issue list), so the sample is independent of other SMs and
-    /// of the worker-thread count.
+    /// cycle's issue list), so the sample is independent of other SMs.
     fn sample_warps(&self, now: u64, cfg: &GpuConfig, issues: &[IssueEvent]) -> SmSample {
         let mut sample = SmSample::default();
         for (w, warp) in self.warps.iter().enumerate() {
@@ -586,18 +532,16 @@ impl Sm {
     }
 
     /// Phase C: applies phase-B results to the warps (in issue order) and
-    /// releases block barriers — the tail of what the serial step used to
-    /// do after executing each instruction. Memory-op completion times are
-    /// assembled here from the bank-written atomics (SM-local again, so
-    /// phase C stays fully parallel). `now` stamps `done_cycle` the first
-    /// time the SM drains.
+    /// releases block barriers. Memory-op completion times are assembled
+    /// here from the metadata and memory passes' results. `now` stamps
+    /// `done_cycle` the first time the SM drains.
     pub fn apply_results(&mut self, events: &mut CycleEvents, now: u64, cfg: &GpuConfig) {
         let CycleEvents { issues, pool, .. } = events;
         for ev in issues.iter_mut() {
             // Completion time first: `mem_done_at` borrows the shared op
             // this branch consumes.
             let mem_done = ev.mem_done_at(now, cfg);
-            if let Some(SharedOp::Mem { dst, pair, width, is_store, lanes, atoms, .. }) =
+            if let Some(SharedOp::Mem { dst, pair, width, is_store, lanes, lines, .. }) =
                 ev.shared.take()
             {
                 let v = ev.verdict.expect("mem op carries a B-check verdict");
@@ -610,14 +554,11 @@ impl Sm {
                 } else {
                     if !is_store {
                         let done = mem_done.expect("live mem op has a completion time");
-                        for (pos, lm) in lanes.iter().enumerate() {
-                            if v.survivors & (1 << lm.lane) != 0 {
-                                let value = atoms[pos].load(SeqCst);
-                                if width == 8 {
-                                    warp.write64(lm.lane, dst, value);
-                                } else {
-                                    warp.write(lm.lane, dst, value as u32);
-                                }
+                        for lm in lanes.iter().filter(|lm| v.survivors & (1 << lm.lane) != 0) {
+                            if width == 8 {
+                                warp.write64(lm.lane, dst, lm.data);
+                            } else {
+                                warp.write(lm.lane, dst, lm.data as u32);
                             }
                         }
                         warp.set_ready_at_mem(dst, done);
@@ -628,7 +569,7 @@ impl Sm {
                     warp.pc += 1;
                 }
                 pool.put_lane_mem(lanes);
-                pool.put_atoms(atoms);
+                pool.put_lines(lines);
             }
             if let Some(mut r) = ev.result.take() {
                 let warp = &mut self.warps[ev.warp];
@@ -731,9 +672,7 @@ impl Sm {
     }
 
     /// Issues warp `w`'s next instruction: local work executes now, shared
-    /// work is recorded on the returned event (memory timing/data routed
-    /// into `bank_q` under this event's index `op_idx`).
-    #[allow(clippy::too_many_arguments)]
+    /// work is recorded on the returned event.
     fn issue_phase_a(
         &mut self,
         stream: &DecodedStream,
@@ -741,10 +680,7 @@ impl Sm {
         now: u64,
         cfg: &GpuConfig,
         pool: &mut EventPool,
-        bank_q: &mut [Vec<BankReq>],
-        op_idx: u32,
         l1: &mut Cache,
-        router: &BankRouter,
     ) -> IssueEvent {
         let warp = &mut self.warps[w];
         let mut ev = IssueEvent {
@@ -760,8 +696,8 @@ impl Sm {
             shared: None,
             result: None,
             verdict: None,
-            meta_done: AtomicU64::new(0),
-            data_done: AtomicU64::new(0),
+            meta_done: 0,
+            data_done: 0,
         };
         let di = match stream.get(warp.pc) {
             Some(d) => d,
@@ -884,9 +820,7 @@ impl Sm {
                 warp.pc += 1;
             }
             op if op.is_mem() => {
-                self.issue_mem_phase_a(
-                    w, di, exec_mask, now, cfg, &mut ev, pool, bank_q, op_idx, l1, router,
-                );
+                self.issue_mem_phase_a(w, di, exec_mask, now, cfg, &mut ev, pool, l1);
             }
             other => panic!("unhandled opcode {other}"),
         }
@@ -1029,10 +963,7 @@ impl Sm {
         cfg: &GpuConfig,
         ev: &mut IssueEvent,
         pool: &mut EventPool,
-        bank_q: &mut [Vec<BankReq>],
-        op_idx: u32,
         l1: &mut Cache,
-        router: &BankRouter,
     ) {
         let mem = di.mem.expect("memory instruction carries a MemRef");
         let space = di.mem_space.unwrap_or(MemSpace::Global);
@@ -1103,7 +1034,7 @@ impl Sm {
             bits &= bits - 1;
             let raw = warp.read64(l, mem.addr).wrapping_add(mem.offset as i64 as u64);
             let vaddr = raw & ADDR_MASK;
-            let store_value = if is_store {
+            let data = if is_store {
                 if mem.width == 8 {
                     warp.read64(l, value_reg)
                 } else {
@@ -1112,70 +1043,37 @@ impl Sm {
             } else {
                 0
             };
-            lanes.push(LaneMem {
-                lane: l,
-                raw,
-                vaddr,
-                timing_addr: timing_addr(l, vaddr),
-                store_value,
-            });
+            lanes.push(LaneMem { lane: l, raw, vaddr, timing_addr: timing_addr(l, vaddr), data });
         }
         // Timing: probe this SM's own L1 on the coalesced lines right here
-        // in phase A (SM-local state — hits never cross the barrier) and
-        // route the misses to their owning banks. Shared-space accesses use
-        // the fixed shared-memory path and count as one transaction.
-        let mut line_count = 1u64;
+        // in phase A (SM-local state) and mark the misses for the memory
+        // pass. Shared-space accesses use the fixed shared-memory path and
+        // count as one transaction.
+        let mut lines = pool.take_lines();
+        let mut missed = 0u64;
         let mut l1_hit = false;
-        let mut bank_items = 0u32;
         if space != MemSpace::Shared {
-            let mut lines = pool.take_lines();
             coalesce_into(
                 lanes.iter().map(|m| m.timing_addr),
                 cfg.hierarchy.l1.line_bytes,
                 &mut lines,
             );
-            line_count = lines.len() as u64;
-            for &line in lines.iter() {
+            for (i, &line) in lines.iter().enumerate() {
                 if l1.access(line) {
                     l1_hit = true;
                 } else {
-                    bank_q[router.bank_of(line)]
-                        .push(BankReq::Fill { op: op_idx, local: router.localize(line) });
-                    bank_items += 1;
+                    missed |= 1 << i;
                 }
             }
-            pool.put_lines(lines);
         }
-        // Data movement: route every lane's bytes to the bank(s) owning its
-        // virtual address (a straddling access splits at the line boundary).
-        // Loads draw a pooled atom per lane for the banks to OR into.
-        let mut atoms = pool.take_atoms();
-        for (pos, lm) in lanes.iter().enumerate() {
-            if !is_store {
-                atoms.push(AtomicU64::new(0));
-            }
-            let (w1, rest) = router.split(lm.vaddr, mem.width as u64);
-            bank_q[router.bank_of(lm.vaddr)].push(BankReq::Move {
-                op: op_idx,
-                lane_pos: pos as u16,
-                local: router.localize(lm.vaddr),
-                width: w1 as u8,
-                shift: 0,
-                value: lm.store_value,
-            });
-            bank_items += 1;
-            if let Some((addr2, w2)) = rest {
-                bank_q[router.bank_of(addr2)].push(BankReq::Move {
-                    op: op_idx,
-                    lane_pos: pos as u16,
-                    local: router.localize(addr2),
-                    width: w2 as u8,
-                    shift: w1 as u8,
-                    value: lm.store_value >> (8 * w1),
-                });
-                bank_items += 1;
-            }
-        }
+        let line_count = if space == MemSpace::Shared { 1 } else { lines.len() as u64 };
+        // One byte move per lane, two for a lane straddling a line boundary.
+        let line_bytes = cfg.hierarchy.l2.line_bytes;
+        let straddles = lanes
+            .iter()
+            .filter(|lm| lm.vaddr % line_bytes + u64::from(mem.width) > line_bytes)
+            .count();
+        let mem_items = missed.count_ones() + (lanes.len() + straddles) as u32;
         ev.shared = Some(SharedOp::Mem {
             dst: di.dst,
             pair: mem.width == 8 && di.dst_pair,
@@ -1183,10 +1081,11 @@ impl Sm {
             is_store,
             space,
             lanes,
+            lines,
+            missed,
             line_count,
             l1_hit,
-            bank_items,
-            atoms,
+            mem_items,
         });
     }
 

@@ -61,8 +61,8 @@ impl StallBreakdown {
 
 /// Aggregate statistics of one kernel run.
 ///
-/// `PartialEq` is derived so the determinism suite can assert that runs at
-/// different `--sim-threads` settings are bit-identical.
+/// `PartialEq` is derived so tests can assert that two runs are
+/// bit-identical.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Total cycles until the last warp retired.
@@ -101,14 +101,14 @@ pub struct SimStats {
     /// Sampling-profiler output (warp states, stall reasons, hot PCs per
     /// SM). Empty unless [`crate::GpuConfig::sample_period`] is set.
     pub profile: KernelProfile,
-    /// Phase-B work units that must run on the single leader thread
-    /// (per-event mechanism checks, stats/counter absorption, heap calls).
-    /// Counted in deterministic work units — not wall time — so the value
-    /// is bit-identical across `sim_threads` and `mem_banks`.
+    /// Phase-B work units of the B-check walk (one per issue event: its
+    /// mechanism checks, stats/counter absorption, heap calls). Counted in
+    /// deterministic work units, not wall time.
     pub phase_b_serial_items: u64,
-    /// Phase-B work units routed to the bank-parallel passes (L1-missed
-    /// line fills, per-lane data movement, metadata fetches). Same
-    /// determinism guarantee as [`SimStats::phase_b_serial_items`].
+    /// Phase-B work units of the metadata and memory passes (metadata
+    /// fetches, L1-missed line fills, per-lane byte moves with a
+    /// line-straddling lane counting twice). Deterministic like
+    /// [`SimStats::phase_b_serial_items`].
     pub phase_b_banked_items: u64,
 }
 
@@ -186,9 +186,8 @@ impl SimStats {
         self.l2.hit_rate()
     }
 
-    /// Fraction of phase-B work units that stay on the single leader
-    /// thread (the serial section the bank-sharded pipeline shrinks);
-    /// 0 when nothing was applied.
+    /// Fraction of phase-B work units spent in the B-check walk rather
+    /// than the metadata and memory passes; 0 when nothing was applied.
     pub fn phase_b_serial_fraction(&self) -> f64 {
         let total = self.phase_b_serial_items + self.phase_b_banked_items;
         if total == 0 {

@@ -1,68 +1,17 @@
-//! NVBit-style dynamic instruction tracing.
+//! Dynamic instruction metrics.
 //!
 //! The paper's DBI study (§X-B) instruments *dynamic* instruction streams:
 //! overheads and the Fig. 13 check:LDST ratios are functions of what
-//! actually executes, not the static binary. [`DynamicProfile::collect`]
-//! attaches a [`Mechanism`] tap to a run and records, per warp-level
-//! issue, the opcode class, hint state and the memory space touched —
-//! enough to compute the paper's dynamic metrics and to drive trace-driven
-//! replay analyses.
+//! actually executes, not the static binary. [`DynamicProfile`] derives
+//! those metrics from a run's [`SimStats`].
 
-use std::collections::BTreeMap;
-
-use lmi_isa::{MemSpace, Opcode, OpcodeClass, Program};
-
-use crate::config::GpuConfig;
-use crate::launch::Launch;
-use crate::mechanism::{Mechanism, MemAccessCtx, MemCheck};
 use crate::stats::SimStats;
-use crate::Gpu;
 
-/// One recorded warp-level event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Program counter.
-    pub pc: usize,
-    /// The opcode.
-    pub opcode: Opcode,
-    /// Whether the instruction carried the activation hint.
-    pub marked: bool,
-    /// Memory space for loads/stores.
-    pub space: Option<MemSpace>,
-}
-
-/// A dynamic execution profile: per-pc issue counts plus derived metrics.
-#[derive(Debug, Clone, Default)]
-pub struct DynamicProfile {
-    /// Exact warp-level memory-issue count per program counter. `LDC`
-    /// resolves against the launch constant bank without consulting the
-    /// mechanism, so constant loads do not appear here — matching
-    /// [`SimStats::mem_total`], which also excludes them.
-    pub issues_by_pc: BTreeMap<usize, u64>,
-    /// The traced program's instructions (for classification).
-    events: Vec<TraceEvent>,
-}
+/// The paper's dynamic metrics, computed from a run's statistics.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DynamicProfile;
 
 impl DynamicProfile {
-    /// Builds the profile by running `launch` on a fresh GPU with the
-    /// statistics tap enabled.
-    pub fn collect(cfg: GpuConfig, launch: &Launch) -> (DynamicProfile, SimStats) {
-        let mut tap = CountingTap::default();
-        let mut gpu = Gpu::new(cfg);
-        let stats = gpu.run(launch, &mut tap);
-        let mut profile = DynamicProfile::default();
-        for (pc, ins) in launch.program.instructions.iter().enumerate() {
-            profile.events.push(TraceEvent {
-                pc,
-                opcode: ins.opcode,
-                marked: ins.hints.activate,
-                space: ins.opcode.mem_space(),
-            });
-        }
-        profile.issues_by_pc = tap.issues_by_pc;
-        (profile, stats)
-    }
-
     /// Dynamic LMI bound-check count: marked integer instructions issued.
     pub fn dynamic_checks(stats: &SimStats) -> u64 {
         stats.marked_issued
@@ -79,96 +28,17 @@ impl DynamicProfile {
         let ldst = Self::dynamic_ldst(stats).max(1) as f64;
         (Self::dynamic_checks(stats) + Self::dynamic_ldst(stats)) as f64 / ldst
     }
-
-    /// The traced program's per-instruction classification.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Trace events at hint-marked instructions (the OCU's check sites).
-    pub fn marked_events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(|e| e.marked)
-    }
-}
-
-/// A mechanism tap that counts per-space memory events without altering
-/// timing or checking anything.
-///
-/// Per-pc counts are *exact*: every lane of one warp-level issue shares a
-/// [`MemAccessCtx::issue_index`], so the tap counts each issue once at its
-/// actual pc. (An earlier version distributed the total uniformly across
-/// the program's memory pcs, which misattributed loops and divergent
-/// kernels — see the regression tests below.)
-#[derive(Debug, Default)]
-struct CountingTap {
-    by_space: BTreeMap<&'static str, u64>,
-    issues_by_pc: BTreeMap<usize, u64>,
-    last_issue: Option<u64>,
-}
-
-impl Mechanism for CountingTap {
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-
-    fn on_mem_access(&mut self, ctx: &MemAccessCtx) -> MemCheck {
-        let key = match ctx.space {
-            MemSpace::Global => "global",
-            MemSpace::Shared => "shared",
-            MemSpace::Local => "local",
-            MemSpace::Const => "const",
-        };
-        *self.by_space.entry(key).or_insert(0) += 1;
-        // Lanes of one issue arrive back-to-back with the same index;
-        // count the warp-level issue once, at the pc that really executed.
-        if self.last_issue != Some(ctx.issue_index) {
-            self.last_issue = Some(ctx.issue_index);
-            *self.issues_by_pc.entry(ctx.pc).or_insert(0) += 1;
-        }
-        MemCheck::allow()
-    }
-}
-
-/// Classifies a program's static instruction mix (useful next to the
-/// dynamic profile when reasoning about instrumentation costs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StaticMix {
-    /// Integer-ALU instructions.
-    pub int_alu: usize,
-    /// FPU instructions.
-    pub fpu: usize,
-    /// Loads/stores.
-    pub mem: usize,
-    /// Control instructions.
-    pub control: usize,
-    /// Hint-marked instructions.
-    pub marked: usize,
-}
-
-/// Computes the static mix of `program`.
-pub fn static_mix(program: &Program) -> StaticMix {
-    let mut mix = StaticMix::default();
-    for ins in &program.instructions {
-        match ins.opcode.class() {
-            OpcodeClass::IntAlu => mix.int_alu += 1,
-            OpcodeClass::Fpu => mix.fpu += 1,
-            OpcodeClass::Mem => mix.mem += 1,
-            OpcodeClass::Control => mix.control += 1,
-        }
-        if ins.hints.activate {
-            mix.marked += 1;
-        }
-    }
-    mix
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Gpu, GpuConfig, Launch, NullMechanism};
     use lmi_isa::{abi, HintBits, Instruction, MemRef, ProgramBuilder, Reg};
     use lmi_mem::layout;
 
-    fn program() -> Program {
+    #[test]
+    fn dynamic_metrics_count_issued_checks_and_ldsts() {
         let mut b = ProgramBuilder::new("t");
         b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
         b.push(
@@ -176,81 +46,11 @@ mod tests {
         );
         b.push(Instruction::ldg(Reg(8), MemRef::new(Reg(6), 0, 4)));
         b.push(Instruction::stg(MemRef::new(Reg(6), 4, 4), Reg(8)));
-        b.push(Instruction::ffma(Reg(9), Reg(9), Reg(9), Reg(8)));
         b.push(Instruction::exit());
-        b.build()
-    }
-
-    #[test]
-    fn static_mix_classifies_correctly() {
-        let mix = static_mix(&program());
-        assert_eq!(mix.int_alu, 1);
-        assert_eq!(mix.fpu, 1);
-        assert_eq!(mix.mem, 3, "LDC + LDG + STG");
-        assert_eq!(mix.control, 1);
-        assert_eq!(mix.marked, 1);
-    }
-
-    #[test]
-    fn dynamic_profile_counts_issues() {
-        let launch = Launch::new(program()).grid(1).block(32).param(layout::GLOBAL_BASE);
-        let (profile, stats) = DynamicProfile::collect(GpuConfig::small(), &launch);
+        let launch = Launch::new(b.build()).grid(1).block(32).param(layout::GLOBAL_BASE);
+        let stats = Gpu::new(GpuConfig::small()).run(&launch, &mut NullMechanism);
         assert_eq!(DynamicProfile::dynamic_checks(&stats), 1);
         assert_eq!(DynamicProfile::dynamic_ldst(&stats), 2, "LDG + STG (LDC excluded)");
-        assert!(DynamicProfile::check_to_ldst_ratio(&stats) >= 1.0);
-        assert_eq!(profile.issues_by_pc.get(&2), Some(&1), "the LDG");
-        assert_eq!(profile.issues_by_pc.get(&3), Some(&1), "the STG");
-    }
-
-    #[test]
-    fn per_pc_attribution_is_exact_in_loops() {
-        // A loop issuing the LDG four times per warp, with a single STG
-        // after it. Uniform attribution would claim 2.5 issues at each
-        // memory pc; the exact profile must report 4 and 1.
-        use lmi_isa::instr::CmpOp;
-        use lmi_isa::PredReg;
-        let mut b = ProgramBuilder::new("loopy");
-        b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
-        b.push(Instruction::mov(Reg(2), 0));
-        let top = b.label();
-        let ldg_pc = 2usize;
-        b.push(Instruction::ldg(Reg(8), MemRef::new(Reg(4), 0, 4)));
-        b.push(Instruction::iadd3(Reg(2), Reg(2), 1));
-        b.push(Instruction::isetp(PredReg(0), Reg(2), CmpOp::Lt, 4));
-        b.branch_if(top, PredReg(0), false);
-        let stg_pc = 6usize;
-        b.push(Instruction::stg(MemRef::new(Reg(4), 0, 4), Reg(8)));
-        b.push(Instruction::exit());
-        let launch = Launch::new(b.build()).grid(1).block(32).param(layout::GLOBAL_BASE);
-        let (profile, _) = DynamicProfile::collect(GpuConfig::small(), &launch);
-        assert_eq!(profile.issues_by_pc.get(&ldg_pc), Some(&4), "LDG issues 4x per warp");
-        assert_eq!(profile.issues_by_pc.get(&stg_pc), Some(&1), "STG issues once");
-    }
-
-    #[test]
-    fn per_pc_attribution_is_exact_under_divergence() {
-        // if (tid < 16) store at pc A else store at pc B: each store pc
-        // issues exactly once per warp, with a partial mask.
-        use lmi_isa::instr::CmpOp;
-        use lmi_isa::PredReg;
-        let mut b = ProgramBuilder::new("divergent");
-        b.push(Instruction::s2r(Reg(0), lmi_isa::op::SpecialReg::TidX));
-        b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
-        b.push(Instruction::lea64(Reg(6), Reg(4), Reg(0), 2));
-        b.push(Instruction::isetp(PredReg(0), Reg(0), CmpOp::Lt, 16));
-        let taken = b.forward_branch_if(PredReg(0), false);
-        let else_stg = 5usize;
-        b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(0)));
-        b.push(Instruction::exit());
-        b.bind(taken);
-        let then_stg = 7usize;
-        b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(0)));
-        b.push(Instruction::exit());
-        let launch = Launch::new(b.build()).grid(1).block(32).param(layout::GLOBAL_BASE);
-        let (profile, stats) = DynamicProfile::collect(GpuConfig::small(), &launch);
-        assert_eq!(profile.issues_by_pc.get(&else_stg), Some(&1));
-        assert_eq!(profile.issues_by_pc.get(&then_stg), Some(&1));
-        let counted: u64 = profile.issues_by_pc.values().sum();
-        assert_eq!(counted, stats.mem_total(), "every issue attributed exactly once");
+        assert_eq!(DynamicProfile::check_to_ldst_ratio(&stats), 1.5);
     }
 }

@@ -21,8 +21,8 @@
 //!
 //! Everything is driven by simulated cycles, never host time, so a
 //! runtime program produces bit-identical [`RuntimeReport`]s, counters
-//! and event stamps at any `sim_threads` setting — the property the
-//! workspace's determinism suite pins down.
+//! and event stamps from run to run — the property the workspace's
+//! determinism suite pins down.
 //!
 //! ## Example
 //!

@@ -21,8 +21,8 @@
 //!    shared L2/DRAM while keeping per-kernel mechanisms and stats.
 //!
 //! Every decision is a pure function of queue contents and simulated
-//! cycles — never host time or host thread interleaving — so a runtime
-//! program produces bit-identical reports at any `sim_threads` setting.
+//! cycles — never host time — so a runtime program produces
+//! bit-identical reports from run to run.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -377,7 +377,7 @@ impl Runtime {
     /// Drains every stream to completion (`cudaDeviceSynchronize`).
     ///
     /// Deterministic: the resulting report, counters and event stamps
-    /// depend only on what was submitted, never on `sim_threads`.
+    /// depend only on what was submitted.
     pub fn synchronize(&mut self) -> Result<(), SyncError> {
         loop {
             let mut progress = false;

@@ -4,7 +4,7 @@
 //! kernel: several streams, each owned by a tenant, each submitting an
 //! upload → kernel → readback pipeline built from one of the Table V
 //! workload specs. The runtime benches and determinism tests replay the
-//! same mix at different `sim_threads`/stream counts and compare results.
+//! same mix and compare results.
 //!
 //! This crate cannot depend on `lmi-runtime` (the runtime's dev-tests use
 //! these specs), so a mix only *describes* traffic; [`prepare_in`] does

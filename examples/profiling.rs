@@ -5,7 +5,7 @@
 //! numbers re-rendered as a Prometheus exposition and a JSON snapshot.
 //!
 //! Sampling is driven by *simulated* cycles (here every 64), so the
-//! profile below is bit-identical at any `LMI_SIM_THREADS` setting.
+//! profile below is bit-identical from run to run.
 //!
 //! Run with: `cargo run --example profiling`
 

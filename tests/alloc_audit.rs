@@ -7,7 +7,8 @@
 //! warm-up — never to steady state.
 //!
 //! The audit installs a counting `#[global_allocator]` and runs the same
-//! seeded multi-SM workload at `N` and `2N` loop iterations on fresh GPUs.
+//! seeded multi-SM workload at `N` and `2N` loop iterations on fresh GPUs,
+//! under every simulator mechanism (null, LMI, GPUShield).
 //! Doubling the simulated cycle count must leave the total allocation
 //! count **exactly equal**: any per-cycle allocation would show up as a
 //! difference proportional to the extra cycles. A warm-up run first
@@ -17,10 +18,11 @@
 //! process-global, and a lone test keeps the measured window free of
 //! harness concurrency.
 
+use lmi_baselines::GpuShield;
 use lmi_bench::alloc_audit::CountingAlloc;
 use lmi_isa::instr::CmpOp;
 use lmi_isa::{HintBits, Instruction, MemRef, PredReg, ProgramBuilder, Reg};
-use lmi_sim::{Gpu, GpuConfig, Launch, LmiMechanism, SimStats};
+use lmi_sim::{Gpu, GpuConfig, Launch, LmiMechanism, Mechanism, NullMechanism, SimStats};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -50,30 +52,40 @@ fn audit_launch(iters: i32) -> Launch {
     Launch::new(b.build()).grid(16).block(64)
 }
 
-/// Runs the audit kernel and returns `(heap allocations, stats)`.
-fn measured_run(threads: usize, banks: usize, iters: i32) -> (u64, SimStats) {
-    let mut gpu = Gpu::new(GpuConfig::small().with_sim_threads(threads).with_mem_banks(banks));
-    let mut mech = LmiMechanism::default_config();
+/// The mechanisms under audit, by name.
+const MECHANISMS: [&str; 3] = ["null", "lmi", "gpushield"];
+
+fn mechanism(name: &str) -> Box<dyn Mechanism> {
+    match name {
+        "null" => Box::new(NullMechanism),
+        "lmi" => Box::new(LmiMechanism::default_config()),
+        "gpushield" => Box::new(GpuShield::new()),
+        other => unreachable!("unknown mechanism {other}"),
+    }
+}
+
+/// Runs the audit kernel under mechanism `mech` and returns
+/// `(heap allocations, stats)`. Mechanism and GPU construction happen
+/// before the counted window.
+fn measured_run(mech: &str, iters: i32) -> (u64, SimStats) {
+    let mut gpu = Gpu::new(GpuConfig::small());
+    let mut mech = mechanism(mech);
     let launch = audit_launch(iters);
     let before = CountingAlloc::allocations();
-    let stats = gpu.run(&launch, &mut mech);
+    let stats = gpu.run(&launch, mech.as_mut());
     (CountingAlloc::allocations() - before, stats)
 }
 
 #[test]
 fn cycle_loop_is_allocation_free_after_warmup() {
     const N: i32 = 400;
-    // The banked configurations exercise the per-SM per-bank queues and
-    // the lane atoms: their capacity must be pool-retained like every
-    // other per-cycle buffer, so sharding adds launch-time allocations
-    // only, never per-cycle ones.
-    for (threads, banks) in [(1, 1), (2, 1), (1, 4), (2, 4)] {
-        // Warm-up: absorbs lazy process-wide state (thread stacks, TLS,
-        // allocator internals) so the measured pair sees identical setup.
-        let _ = measured_run(threads, banks, N);
+    for mech in MECHANISMS {
+        // Warm-up: absorbs lazy process-wide state (TLS, allocator
+        // internals) so the measured pair sees identical setup.
+        let _ = measured_run(mech, N);
 
-        let (allocs_n, stats_n) = measured_run(threads, banks, N);
-        let (allocs_2n, stats_2n) = measured_run(threads, banks, 2 * N);
+        let (allocs_n, stats_n) = measured_run(mech, N);
+        let (allocs_2n, stats_2n) = measured_run(mech, 2 * N);
 
         assert!(!stats_n.violated() && !stats_2n.violated(), "audit kernel is violation-free");
         assert!(
@@ -85,9 +97,8 @@ fn cycle_loop_is_allocation_free_after_warmup() {
         assert_eq!(
             allocs_n,
             allocs_2n,
-            "heap allocations grew with cycle count at sim_threads={threads} \
-             mem_banks={banks}: {allocs_n} for {N} iterations vs {allocs_2n} for {} — \
-             the cycle loop allocated in steady state",
+            "heap allocations grew with cycle count under {mech}: {allocs_n} for {N} \
+             iterations vs {allocs_2n} for {} — the cycle loop allocated in steady state",
             2 * N,
         );
     }

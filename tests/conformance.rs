@@ -7,8 +7,8 @@
 //! * The double-free class is validated by the device-runtime allocator
 //!   and classified as `Temporal(DoubleFree)`.
 //! * The shrinker regression pins a seed whose known-failing mutant must
-//!   minimize to a bounded reproducer, bit-identically across engine
-//!   thread counts.
+//!   minimize to a bounded reproducer, identically at both engine points
+//!   (untraced and traced).
 
 use lmi::conformance::{
     build, generate, lmi_run, mutate, run_case, shrink, DefectClass, EnginePoint, OracleConfig,
@@ -16,7 +16,7 @@ use lmi::conformance::{
 use lmi::core::{TemporalKind, Violation};
 use lmi::telemetry::SplitMix64;
 
-const POINT: EnginePoint = EnginePoint { sim_threads: 1, mem_banks: 1 };
+const POINT: EnginePoint = EnginePoint { traced: false };
 
 #[test]
 fn uaf_nullification_poisons_the_dangling_pointer() {
@@ -82,7 +82,7 @@ fn temporal_classes_hold_across_the_matrix() {
 
 /// Pinned-seed shrinker regression: the known-failing spatial mutant of
 /// seed 7 reduces to a minimal reproducer — bounded op count, identical
-/// output at every engine thread count, and a paste-ready test.
+/// output with tracing off and on, and a paste-ready test.
 #[test]
 fn shrinker_is_bounded_and_engine_deterministic() {
     const SEED: u64 = 7;
@@ -90,10 +90,7 @@ fn shrinker_is_bounded_and_engine_deterministic() {
     let mut rng = SplitMix64::new(0x5EED);
     let (mutant, defect) = mutate(&generate(SEED), DefectClass::SpatialNear, &mut rng);
 
-    let mut reps = [1usize, 2, 8].map(|sim_threads| {
-        let point = EnginePoint { sim_threads, mem_banks: 1 };
-        shrink(&mutant, &defect, point)
-    });
+    let mut reps = [false, true].map(|traced| shrink(&mutant, &defect, EnginePoint { traced }));
     let reference = reps[0].clone();
     assert!(
         reference.op_count <= MAX_IR_OPS,
@@ -101,9 +98,9 @@ fn shrinker_is_bounded_and_engine_deterministic() {
         reference.op_count
     );
     for rep in &mut reps[1..] {
-        assert_eq!(rep.recipe, reference.recipe, "shrunk recipe differs across sim_threads");
-        assert_eq!(rep.defect, reference.defect, "remapped defect differs across sim_threads");
-        assert_eq!(rep.function, reference.function, "shrunk IR differs across sim_threads");
+        assert_eq!(rep.recipe, reference.recipe, "shrunk recipe differs when traced");
+        assert_eq!(rep.defect, reference.defect, "remapped defect differs when traced");
+        assert_eq!(rep.function, reference.function, "shrunk IR differs when traced");
         assert_eq!(rep.op_count, reference.op_count);
         assert_eq!(rep.to_test_source(), reference.to_test_source());
     }

@@ -1,260 +1,244 @@
-//! Determinism of the parallel engine (`lmi-sim::engine`).
+//! Pinned regression tests for the cycle engine (`lmi-sim::engine`).
 //!
-//! The contract under test: for any workload, any mechanism, any
-//! `sim_threads` setting, and any `mem_banks` setting, a run produces
-//! **bit-identical** results — the full `SimStats` record (cycles, per-SM
-//! L1 deltas, L2, MSHR, DRAM, violations, forensics), every scoped
-//! telemetry counter, the trace-event ring in arrival order, and the
-//! functional memory image. Thread count and bank count may only change
-//! wall-clock time. The bank-conflict suite additionally pins the
-//! per-bank L2/DRAM breakdown (it must re-aggregate to the run totals and
-//! be identical across thread counts at a fixed bank count).
+//! Every scenario runs with scoped counters and the tracer on, and four
+//! digests of what it observably produced are compared against pinned
+//! values:
+//!
+//! * the full `SimStats` record (cycles, issue and stall counts, per-SM
+//!   L1 deltas, L2, MSHR, DRAM, violations, forensics, profiles and both
+//!   `phase_b_*` work counts);
+//! * the functional memory the kernel touched;
+//! * every scoped telemetry counter;
+//! * the trace-event ring, in arrival order.
+//!
+//! The pinned values were recorded from the engine this one replaced: a
+//! multi-threaded driver over address-interleaved memory banks. That
+//! engine produced every value below identically at 1, 2 and 8 worker
+//! threads over 1 and 4 banks, so each test holds the single-threaded
+//! engine to the outputs of every configuration of the old one. A digest
+//! is FNV-1a over the value's `Debug` rendering. On a mismatch the test
+//! prints the new values ready to paste; re-pinning is only right for a
+//! change that is meant to move simulated outputs.
+
+use std::fmt::Debug;
 
 use lmi_alloc::AlignmentPolicy;
 use lmi_core::PtrConfig;
 use lmi_isa::{abi, HintBits, Instruction, MemRef, ProgramBuilder, Reg};
 use lmi_mem::layout;
-use lmi_runtime::{Runtime, RuntimeReport};
+use lmi_runtime::{MetricsSnapshot, Runtime, Session};
 use lmi_sim::{Gpu, GpuConfig, Launch, LmiMechanism, Mechanism, NullMechanism, SimStats};
-use lmi_telemetry::{Scope, SplitMix64, TelemetrySink, TraceRecord};
+use lmi_telemetry::{SplitMix64, TelemetrySink};
 use lmi_workloads::{all_workloads, prepare, prepare_in, runtime_mixes, TrafficMix, WorkloadSpec};
 
-/// Everything observable about one run.
-#[derive(Debug, PartialEq)]
-struct RunImage {
-    stats: SimStats,
-    counters: Vec<(Scope, &'static str, u64)>,
-    traces: Vec<TraceRecord>,
-    memory_probe: Vec<u64>,
+/// FNV-1a over `value`'s `Debug` rendering.
+fn digest(value: &impl Debug) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// Runs `launch` at `threads` worker threads with full telemetry and
-/// snapshots every observable output. `probe` lists addresses whose final
-/// functional-memory words are captured.
-fn run_at(
+/// The pinned image of one run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pin {
+    cycles: u64,
+    stats: u64,
+    memory: u64,
+    counters: u64,
+    trace: u64,
+}
+
+impl Pin {
+    fn literal(&self) -> String {
+        format!(
+            "Pin {{ cycles: {}, stats: {:#018x}, memory: {:#018x}, counters: {:#018x}, \
+             trace: {:#018x} }}",
+            self.cycles, self.stats, self.memory, self.counters, self.trace
+        )
+    }
+}
+
+/// Asserts `got[i] == want[i]` for every case; on any mismatch, fails
+/// listing every case's actual pin.
+fn check(label: &str, got: &[(String, Pin)], want: &[Pin]) {
+    let ok = got.len() == want.len() && got.iter().zip(want).all(|((_, g), w)| g == w);
+    if !ok {
+        let listing: Vec<String> =
+            got.iter().map(|(case, pin)| format!("    {}, // {case}", pin.literal())).collect();
+        panic!("{label}: outputs moved from the pinned values; actual:\n{}", listing.join("\n"));
+    }
+}
+
+/// Runs `launch` with counters and the tracer on; returns the stats and
+/// the pin. `memory` lists the `(base, len)` ranges whose final contents
+/// are digested.
+fn run_pinned(
     cfg: GpuConfig,
-    threads: usize,
     launch: &Launch,
     mechanism: &mut dyn Mechanism,
-    probe: &[u64],
-) -> RunImage {
-    let mut gpu = Gpu::new(cfg.with_sim_threads(threads));
+    memory: &[(u64, u64)],
+) -> (SimStats, Pin) {
+    let mut gpu = Gpu::new(cfg);
     let mut sink = TelemetrySink::with_trace_capacity(1 << 14);
     let stats = gpu.run_with_telemetry(launch, mechanism, &mut sink);
-    RunImage {
-        stats,
-        counters: sink.counters.iter().collect(),
-        traces: sink.tracer.records().cloned().collect(),
-        memory_probe: probe.iter().map(|&a| gpu.memory.read(a, 8)).collect(),
-    }
-}
-
-/// Asserts that `threads` ∈ {2, 8, …} reproduce the serial image exactly.
-fn assert_thread_invariant(
-    cfg: GpuConfig,
-    launch: &Launch,
-    mut mech: impl FnMut() -> Box<dyn Mechanism>,
-    probe: &[u64],
-    label: &str,
-) {
-    let serial = run_at(cfg, 1, launch, mech().as_mut(), probe);
-    assert!(serial.stats.cycles > 0, "{label}: kernel ran");
-    for threads in [2, 8] {
-        let parallel = run_at(cfg, threads, launch, mech().as_mut(), probe);
-        assert_eq!(serial.stats, parallel.stats, "{label}: SimStats diverged at {threads} threads");
-        assert_eq!(
-            serial.counters, parallel.counters,
-            "{label}: telemetry counters diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial.traces, parallel.traces,
-            "{label}: trace ring diverged at {threads} threads"
-        );
-        assert_eq!(
-            serial.memory_probe, parallel.memory_probe,
-            "{label}: functional memory diverged at {threads} threads"
-        );
-    }
+    assert!(stats.cycles > 0, "kernel ran");
+    let counters: Vec<_> = sink.counters.iter().collect();
+    let trace: Vec<_> = sink.tracer.records().collect();
+    let pin = Pin {
+        cycles: stats.cycles,
+        stats: digest(&stats),
+        memory: digest(&gpu.snapshot(memory)),
+        counters: digest(&counters),
+        trace: digest(&trace),
+    };
+    (stats, pin)
 }
 
 fn workload(name: &str) -> WorkloadSpec {
     all_workloads().into_iter().find(|w| w.name == name).unwrap()
 }
 
-/// Per-bank `(l2_hits, l2_misses, dram_transactions)` breakdown.
-type BankBreakdown = Vec<(u64, u64, u64)>;
-
-/// Runs `launch` with an explicit bank count, asserts that the per-bank
-/// L2/DRAM statistics re-aggregate exactly to the run totals, and returns
-/// the observable image plus the breakdown.
-fn run_banked_at(
-    cfg: GpuConfig,
-    threads: usize,
-    banks: usize,
-    launch: &Launch,
-    mechanism: &mut dyn Mechanism,
-    probe: &[u64],
-) -> (RunImage, BankBreakdown) {
-    let mut gpu = Gpu::new(cfg.with_sim_threads(threads).with_mem_banks(banks));
-    assert_eq!(gpu.mem_banks(), banks, "geometry must support {banks} banks");
-    let mut sink = TelemetrySink::with_trace_capacity(1 << 14);
-    let stats = gpu.run_with_telemetry(launch, mechanism, &mut sink);
-    let per_bank: BankBreakdown = gpu
-        .l2_stats_per_bank()
-        .iter()
-        .zip(gpu.dram_transactions_per_bank())
-        .map(|(l2, dram)| (l2.hits, l2.misses, dram))
-        .collect();
-    assert_eq!(per_bank.len(), banks);
-    let l2_hits: u64 = per_bank.iter().map(|b| b.0).sum();
-    let l2_misses: u64 = per_bank.iter().map(|b| b.1).sum();
-    let dram: u64 = per_bank.iter().map(|b| b.2).sum();
-    // Fresh GPU per run, so the run delta IS the lifetime total.
-    assert_eq!((stats.l2.hits, stats.l2.misses), (l2_hits, l2_misses), "L2 re-aggregation");
-    assert_eq!(stats.dram_transactions, dram, "DRAM re-aggregation");
-    let image = RunImage {
-        stats,
-        counters: sink.counters.iter().collect(),
-        traces: sink.tracer.records().cloned().collect(),
-        memory_probe: probe.iter().map(|&a| gpu.memory.read(a, 8)).collect(),
-    };
-    (image, per_bank)
-}
-
-/// Asserts that every cell of `sim_threads` ∈ {1, 2, 8} × `mem_banks` ∈
-/// {1, 4} reproduces the serial monolithic image exactly, and that the
-/// per-bank breakdown at 4 banks is itself thread-count invariant.
-fn assert_bank_invariant(
-    cfg: GpuConfig,
-    launch: &Launch,
-    mut mech: impl FnMut() -> Box<dyn Mechanism>,
-    probe: &[u64],
-    label: &str,
-) {
-    let (baseline, _) = run_banked_at(cfg, 1, 1, launch, mech().as_mut(), probe);
-    assert!(baseline.stats.cycles > 0, "{label}: kernel ran");
-    let mut breakdown4: Option<BankBreakdown> = None;
-    for threads in [1, 2, 8] {
-        for banks in [1, 4] {
-            if (threads, banks) == (1, 1) {
-                continue;
-            }
-            let (image, per_bank) =
-                run_banked_at(cfg, threads, banks, launch, mech().as_mut(), probe);
-            let cell = format!("{label}: {threads} threads x {banks} banks");
-            assert_eq!(baseline.stats, image.stats, "{cell}: SimStats diverged");
-            assert_eq!(baseline.counters, image.counters, "{cell}: counters diverged");
-            assert_eq!(baseline.traces, image.traces, "{cell}: trace ring diverged");
-            assert_eq!(baseline.memory_probe, image.memory_probe, "{cell}: memory diverged");
-            if banks == 4 {
-                match &breakdown4 {
-                    None => breakdown4 = Some(per_bank),
-                    Some(expect) => assert_eq!(
-                        expect, &per_bank,
-                        "{cell}: per-bank breakdown diverged across thread counts"
-                    ),
-                }
-            }
-        }
-    }
-}
-
 #[test]
 fn seeded_workloads_are_bit_identical_across_thread_counts() {
     // Three contrasting profiles: compute-heavy, barrier/wavefront, and
     // uncoalesced-memory-heavy.
-    for name in ["hotspot", "needle", "bfs"] {
-        let spec = workload(name).scaled_down(4);
-        let prepared = prepare(&spec, AlignmentPolicy::PowerOfTwo);
-        let probe: Vec<u64> = prepared.buffers.iter().map(|&(base, _)| base).collect();
-        assert_thread_invariant(
-            GpuConfig::small(),
-            &prepared.launch,
-            || Box::new(LmiMechanism::default_config()),
-            &probe,
-            name,
-        );
-    }
-}
-
-#[test]
-fn null_mechanism_runs_are_bit_identical_across_thread_counts() {
-    let spec = workload("backprop").scaled_down(4);
-    let prepared = prepare(&spec, AlignmentPolicy::CudaDefault);
-    assert_thread_invariant(
-        GpuConfig::small(),
-        &prepared.launch,
-        || Box::new(NullMechanism),
-        &[],
-        "backprop/null",
+    let got: Vec<(String, Pin)> = ["hotspot", "needle", "bfs"]
+        .iter()
+        .map(|name| {
+            let prepared = prepare(&workload(name).scaled_down(4), AlignmentPolicy::PowerOfTwo);
+            let mut mech = LmiMechanism::default_config();
+            let (_, pin) =
+                run_pinned(GpuConfig::small(), &prepared.launch, &mut mech, &prepared.buffers);
+            (name.to_string(), pin)
+        })
+        .collect();
+    check(
+        "seeded workloads",
+        &got,
+        &[
+            Pin {
+                cycles: 7820,
+                stats: 0x8bca714d0f4df29d,
+                memory: 0x4095d624666d4210,
+                counters: 0xe1ff366427335201,
+                trace: 0x117aceedcbff9f3f,
+            }, // hotspot
+            Pin {
+                cycles: 11321,
+                stats: 0x3ef33983af9469ce,
+                memory: 0x27cbe67dd1801cd1,
+                counters: 0xa0d3a45a39c72abf,
+                trace: 0x1e73be6754d5408c,
+            }, // needle
+            Pin {
+                cycles: 4747,
+                stats: 0xe1284b0e08f43ad7,
+                memory: 0x0bd6c0906adadb97,
+                counters: 0x161bb1ef81a343f2,
+                trace: 0x61f61558760983af,
+            }, // bfs
+        ],
     );
 }
 
 #[test]
-fn violation_forensics_are_bit_identical_across_thread_counts() {
-    // Every warp escapes its buffer (marked pointer bump past the extent),
-    // so poisons, faults, forensics records and halted warps occur on
-    // several SMs at once — the shared-state-heaviest path the engine has.
+fn null_mechanism_runs_are_bit_identical_across_thread_counts() {
+    let prepared = prepare(&workload("backprop").scaled_down(4), AlignmentPolicy::CudaDefault);
+    let (_, pin) =
+        run_pinned(GpuConfig::small(), &prepared.launch, &mut NullMechanism, &prepared.buffers);
+    check(
+        "backprop/null",
+        &[("backprop".into(), pin)],
+        &[
+            Pin {
+                cycles: 5790,
+                stats: 0x7910a0e560fb5951,
+                memory: 0x9093f7658e67b203,
+                counters: 0x7ab0b30ab09b8950,
+                trace: 0x60d943f23bd2cd8f,
+            }, // backprop
+        ],
+    );
+}
+
+/// Every warp bumps its pointer 4 KiB past a 256 B buffer with a marked
+/// add, then stores through it: poisons, faults, forensics records and
+/// halted warps occur on several SMs at once.
+fn escaping_store(buffer: u64, grid: usize) -> Launch {
     let cfg_ptr = PtrConfig::default();
-    let buf =
-        lmi_core::DevicePtr::encode(layout::GLOBAL_BASE + 0x10000, 256, &cfg_ptr).unwrap().raw();
+    let buf = lmi_core::DevicePtr::encode(buffer, 256, &cfg_ptr).unwrap().raw();
     let mut b = ProgramBuilder::new("oob-wide");
     b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
     b.push(Instruction::iadd64(Reg(4), Reg(4), 4096).with_hints(HintBits::check_operand(0)));
     b.push(Instruction::mov(Reg(0), 1));
     b.push(Instruction::stg(MemRef::new(Reg(4), 0, 4), Reg(0)));
     b.push(Instruction::exit());
-    let launch = Launch::new(b.build()).grid(8).block(64).param(buf);
+    Launch::new(b.build()).grid(grid).block(64).param(buf)
+}
 
+#[test]
+fn violation_forensics_are_bit_identical_across_thread_counts() {
+    let buffer = layout::GLOBAL_BASE + 0x10000;
     let mut cfg = GpuConfig::small();
     cfg.halt_on_violation = true;
-    assert_thread_invariant(
-        cfg,
-        &launch,
-        || Box::new(LmiMechanism::default_config()),
-        &[layout::GLOBAL_BASE + 0x10000 + 4096],
-        "oob-wide",
-    );
-
-    // Sanity that the scenario really exercised the forensic machinery.
     let mut mech = LmiMechanism::default_config();
-    let image = run_at(cfg, 8, &launch, &mut mech, &[]);
-    assert!(image.stats.violated());
-    assert!(!image.stats.forensics.is_empty());
-    assert_eq!(image.memory_probe.len(), 0);
+    let (stats, pin) =
+        run_pinned(cfg, &escaping_store(buffer, 8), &mut mech, &[(buffer, 256 + 4096 + 64)]);
+    assert!(stats.violated());
+    assert!(!stats.forensics.is_empty(), "the scenario exercised the forensic machinery");
+    check(
+        "oob-wide",
+        &[("oob-wide".into(), pin)],
+        &[
+            Pin {
+                cycles: 27,
+                stats: 0x90f8f324805d698d,
+                memory: 0x3bbf7ea703f90c80,
+                counters: 0x534a2a8d42612cff,
+                trace: 0xe250387bb3f009b9,
+            }, // oob-wide
+        ],
+    );
 }
 
 #[test]
 fn kernel_malloc_runs_are_bit_identical_across_thread_counts() {
     // Device-side malloc serializes through the shared heap: allocation
-    // order (and thus returned pointers) must not depend on threads.
+    // order decides the returned pointers and where each lands.
     let mut b = ProgramBuilder::new("heap");
     b.push(Instruction::mov(Reg(1), 96));
     b.push(Instruction::malloc(Reg(4), Reg(1)));
     b.push(Instruction::stg(MemRef::new(Reg(4), 0, 8), Reg(4)));
     b.push(Instruction::exit());
     let launch = Launch::new(b.build()).grid(6).block(64);
-    assert_thread_invariant(
-        GpuConfig::small(),
-        &launch,
-        || Box::new(LmiMechanism::default_config()),
-        &[],
+    let mut mech = LmiMechanism::default_config();
+    let (stats, pin) =
+        run_pinned(GpuConfig::small(), &launch, &mut mech, &[(layout::HEAP_BASE, 1 << 16)]);
+    assert_eq!(stats.mallocs, 6 * 64);
+    check(
         "heap",
+        &[("heap".into(), pin)],
+        &[
+            Pin {
+                cycles: 619,
+                stats: 0x79aa7de4b7afacbc,
+                memory: 0xd8844312594c728f,
+                counters: 0xb8b9f7b593257d2c,
+                trace: 0xe5ca055118c6c2f5,
+            }, // heap
+        ],
     );
 }
 
 // ---------------------------------------------------------------------------
-// Adversarial bank-conflict suite: workloads built to maximize cross-SM
-// traffic into the *same* lines and banks, where any ordering leak between
-// bank workers would surface immediately.
+// Adversarial shared-memory-system scenarios: cross-SM traffic into the
+// same lines, where any ordering slip in the memory pass would surface.
 
 #[test]
 fn cross_sm_same_line_stores_are_bank_invariant() {
-    // Every SM's every warp stores to (and reloads from) the SAME two
-    // cache lines: all eight SMs funnel their fills and byte movement into
-    // the same banks in the same cycles, and overlapping same-address
-    // stores from different SMs must resolve in canonical order for the
-    // final memory image to be stable.
+    // Every SM's every warp stores to (and reloads from) the same two
+    // cache lines: overlapping same-address stores from different SMs
+    // must resolve in canonical order for the final image to be stable.
     let base = layout::GLOBAL_BASE + 0x80000;
     let mut b = ProgramBuilder::new("line-storm");
     b.push(Instruction::s2r(Reg(0), lmi_isa::op::SpecialReg::TidX));
@@ -266,26 +250,29 @@ fn cross_sm_same_line_stores_are_bank_invariant() {
     b.push(Instruction::exit());
     // Same param base for every block: no per-block offset, maximal overlap.
     let launch = Launch::new(b.build()).grid(16).block(64).param(base);
-    let probe: Vec<u64> = (0..8).map(|i| base + i * 8).collect();
-    assert_bank_invariant(
-        GpuConfig::small(),
-        &launch,
-        || Box::new(NullMechanism),
-        &probe,
+    let (_, pin) = run_pinned(GpuConfig::small(), &launch, &mut NullMechanism, &[(base, 256)]);
+    check(
         "line-storm",
+        &[("line-storm".into(), pin)],
+        &[
+            Pin {
+                cycles: 73,
+                stats: 0xceab2becb45ff603,
+                memory: 0x5d530d0c35b5f0e0,
+                counters: 0x6c7808b4a2c127ae,
+                trace: 0x9e118668d558d6bd,
+            }, // line-storm
+        ],
     );
 }
 
 #[test]
 fn mshr_merges_spanning_sms_are_bank_invariant() {
-    // Every SM's warp scatters its 32 lanes over 32 lines that all map to
-    // the same L2 set: 192 KiB stride = 1536 lines, which preserves the
-    // set index under BOTH geometries (1536 sets monolithic, 384 per bank
-    // at 4 banks) and the owning bank. The 24-way set can't hold 32 lines,
-    // so each SM's op evicts the earliest lines while their DRAM fills are
-    // still in flight — the NEXT SM's access to an evicted line L2-misses
-    // and merges with the in-flight fill. The merge bookkeeping lives
-    // inside one bank and must not depend on which worker applies it.
+    // Every SM's warp scatters its 32 lanes over 32 lines of one L2 set
+    // (a 192 KiB stride is 1536 lines, the set count). The 24-way set
+    // cannot hold 32 lines, so each SM's op evicts the earliest lines
+    // while their DRAM fills are still in flight, and the next SM's
+    // access to an evicted line merges with the pending fill.
     let base = layout::GLOBAL_BASE + 0x90000;
     let mut b = ProgramBuilder::new("merge-storm");
     b.push(Instruction::s2r(Reg(0), lmi_isa::op::SpecialReg::TidX));
@@ -295,29 +282,28 @@ fn mshr_merges_spanning_sms_are_bank_invariant() {
     b.push(Instruction::ldg(Reg(8), MemRef::new(Reg(6), 0, 4)));
     b.push(Instruction::exit());
     let launch = Launch::new(b.build()).grid(8).block(32).param(base);
-    for banks in [1, 4] {
-        let (image, _) =
-            run_banked_at(GpuConfig::small(), 8, banks, &launch, &mut NullMechanism, &[]);
-        assert!(
-            image.stats.mshr_merges > 0,
-            "the scenario really exercised the MSHRs at {banks} banks"
-        );
-    }
-    assert_bank_invariant(
-        GpuConfig::small(),
-        &launch,
-        || Box::new(NullMechanism),
-        &[base],
+    let (stats, pin) = run_pinned(GpuConfig::small(), &launch, &mut NullMechanism, &[(base, 8)]);
+    assert!(stats.mshr_merges > 0, "the scenario exercised the MSHRs");
+    check(
         "merge-storm",
+        &[("merge-storm".into(), pin)],
+        &[
+            Pin {
+                cycles: 25,
+                stats: 0x41b2fb2da1bb356f,
+                memory: 0x3b47ef3c2a060a9d,
+                counters: 0x33c3cdc1ec7b4258,
+                trace: 0x3d3a09e0f1c07f29,
+            }, // merge-storm
+        ],
     );
 }
 
 #[test]
 fn line_straddling_accesses_are_bank_invariant() {
-    // Each thread stores and reloads 8 bytes at line_offset 124 of its own
-    // line: every access straddles a 128-byte line boundary, so with 4
-    // banks the two halves of one access live in *different* banks and the
-    // load's value is OR-assembled from two bank workers.
+    // Each thread stores and reloads 8 bytes at offset 124 of its own
+    // 128-byte line: every access straddles a line boundary, so its
+    // bytes move in two parts and a load's value is assembled from both.
     let base = layout::GLOBAL_BASE + 0xA0000;
     let mut b = ProgramBuilder::new("straddle");
     b.push(Instruction::s2r(Reg(0), lmi_isa::op::SpecialReg::TidX));
@@ -328,59 +314,56 @@ fn line_straddling_accesses_are_bank_invariant() {
     b.push(Instruction::stg(MemRef::new(Reg(6), 0, 8), Reg(8)));
     b.push(Instruction::exit());
     let launch = Launch::new(b.build()).grid(8).block(32).param(base);
-    let probe: Vec<u64> = (0..32).map(|t| base + t * 128 + 124).collect();
-    assert_bank_invariant(
-        GpuConfig::small(),
-        &launch,
-        || Box::new(NullMechanism),
-        &probe,
+    let (_, pin) = run_pinned(GpuConfig::small(), &launch, &mut NullMechanism, &[(base, 33 * 128)]);
+    check(
         "straddle",
+        &[("straddle".into(), pin)],
+        &[
+            Pin {
+                cycles: 52,
+                stats: 0xf383ab4071a805d3,
+                memory: 0x42b40c9cbbb3553f,
+                counters: 0xb3ed59f6c0e43706,
+                trace: 0xab04c6a5b50a7635,
+            }, // straddle
+        ],
     );
 }
 
 #[test]
 fn violation_storms_are_bank_invariant() {
     // Every warp faults under halt-on-violation: the cancelled ops'
-    // bank-queue entries must be skipped identically everywhere, and the
-    // poison/fault forensics stay leader-serial and canonical.
-    let cfg_ptr = PtrConfig::default();
-    let buf =
-        lmi_core::DevicePtr::encode(layout::GLOBAL_BASE + 0xB0000, 256, &cfg_ptr).unwrap().raw();
-    let mut b = ProgramBuilder::new("violation-storm");
-    b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
-    b.push(Instruction::iadd64(Reg(4), Reg(4), 4096).with_hints(HintBits::check_operand(0)));
-    b.push(Instruction::mov(Reg(0), 1));
-    b.push(Instruction::stg(MemRef::new(Reg(4), 0, 4), Reg(0)));
-    b.push(Instruction::exit());
-    let launch = Launch::new(b.build()).grid(16).block(64).param(buf);
+    // queued fills and byte moves must all be skipped.
+    let buffer = layout::GLOBAL_BASE + 0xB0000;
     let mut cfg = GpuConfig::small();
     cfg.halt_on_violation = true;
-    assert_bank_invariant(
-        cfg,
-        &launch,
-        || Box::new(LmiMechanism::default_config()),
-        &[layout::GLOBAL_BASE + 0xB0000 + 4096],
+    let mut mech = LmiMechanism::default_config();
+    let (stats, pin) =
+        run_pinned(cfg, &escaping_store(buffer, 16), &mut mech, &[(buffer, 256 + 4096 + 64)]);
+    assert!(stats.violated());
+    let mut gpu = Gpu::new(cfg);
+    gpu.run(&escaping_store(buffer, 16), &mut LmiMechanism::default_config());
+    assert_eq!(gpu.memory.read(buffer + 4096, 8), 0, "halted OOB store leaked to memory");
+    check(
         "violation-storm",
+        &[("violation-storm".into(), pin)],
+        &[
+            Pin {
+                cycles: 41,
+                stats: 0x24ce93b193363c7a,
+                memory: 0x8d1523e60fc7863d,
+                counters: 0x9b564c99dea878d5,
+                trace: 0x69ef9da5872e6a31,
+            }, // violation-storm
+        ],
     );
-    // The cancelled stores must not have landed at any bank count.
-    let (image, _) = run_banked_at(
-        cfg,
-        8,
-        4,
-        &launch,
-        &mut LmiMechanism::default_config(),
-        &[layout::GLOBAL_BASE + 0xB0000 + 4096],
-    );
-    assert!(image.stats.violated());
-    assert_eq!(image.memory_probe[0], 0, "halted OOB store leaked to memory");
 }
 
 #[test]
 fn metadata_fetch_storms_are_bank_invariant() {
-    // GPUShield with a zero-entry RCache fetches an in-memory bounds entry
-    // on EVERY global access: the metadata pass carries real traffic each
-    // cycle, and the data fills are gated on metadata completions published
-    // by (possibly) other banks' workers.
+    // GPUShield with a zero-entry RCache fetches an in-memory bounds
+    // entry on every global access: the metadata pass carries traffic
+    // each cycle, and the data fills wait for their metadata.
     let base = layout::GLOBAL_BASE + 0xC0000;
     let mut b = ProgramBuilder::new("meta-storm");
     b.push(Instruction::s2r(Reg(0), lmi_isa::op::SpecialReg::TidX));
@@ -390,28 +373,30 @@ fn metadata_fetch_storms_are_bank_invariant() {
     b.push(Instruction::ldg(Reg(8), MemRef::new(Reg(6), 0, 4)));
     b.push(Instruction::exit());
     let launch = Launch::new(b.build()).grid(8).block(64).param(base);
-    let mech = || {
-        let mut gs = lmi_baselines::GpuShield::with_rcache_entries(0);
-        gs.register_buffer(base, 64 * 4);
-        Box::new(gs) as Box<dyn Mechanism>
-    };
-    assert_bank_invariant(GpuConfig::small(), &launch, mech, &[base], "meta-storm");
+    let mut gs = lmi_baselines::GpuShield::with_rcache_entries(0);
+    gs.register_buffer(base, 64 * 4);
+    let (_, pin) = run_pinned(GpuConfig::small(), &launch, &mut gs, &[(base, 64 * 4)]);
+    check(
+        "meta-storm",
+        &[("meta-storm".into(), pin)],
+        &[
+            Pin {
+                cycles: 29,
+                stats: 0x55ead4a42cc05cba,
+                memory: 0x66a3eb3351b191be,
+                counters: 0xf00cc0f5ed929d17,
+                trace: 0x16df9d76eca85ceb,
+            }, // meta-storm
+        ],
+    );
 }
 
-/// Everything observable about one multi-stream runtime session.
-#[derive(Debug, PartialEq)]
-struct SessionImage {
-    report: RuntimeReport,
-    counters: Vec<(Scope, &'static str, u64)>,
-    event_times: Vec<Option<u64>>,
-    readbacks: Vec<Vec<u64>>,
-}
-
-/// Replays a [`TrafficMix`] through the async runtime at `threads` worker
-/// threads: per stream an upload → kernel → readback pipeline plus a
-/// completion event, then one synchronize.
-fn run_mix_at(mix: &TrafficMix, threads: usize, banks: usize) -> SessionImage {
-    let mut rt = Runtime::new(GpuConfig::small().with_sim_threads(threads).with_mem_banks(banks));
+/// Replays a [`TrafficMix`] through the async runtime: per stream an
+/// upload → kernel → readback pipeline plus a completion event, then one
+/// synchronize. Returns the digest of the runtime report, the
+/// stream/tenant counters, the event timestamps and the readbacks.
+fn run_mix(mix: &TrafficMix) -> (u64, u64) {
+    let mut rt = Runtime::new(GpuConfig::small());
     let tenants: Vec<usize> =
         mix.tenants.iter().map(|&protected| rt.add_tenant(protected)).collect();
     let mut events = Vec::new();
@@ -431,84 +416,185 @@ fn run_mix_at(mix: &TrafficMix, threads: usize, banks: usize) -> SessionImage {
         events.push(ev);
     }
     rt.synchronize().unwrap();
-    SessionImage {
-        report: rt.report().clone(),
-        counters: rt.counters().iter().collect(),
-        event_times: events.iter().map(|&e| rt.event_time(e)).collect(),
-        readbacks: handles.iter().map(|&h| rt.copy_result(h).unwrap().to_vec()).collect(),
+    let report = rt.report().clone();
+    assert!(report.total_cycles > 0, "{}: session ran", mix.name);
+    let event_times: Vec<Option<u64>> = events.iter().map(|&e| rt.event_time(e)).collect();
+    assert!(event_times.iter().all(Option::is_some), "{}: all events recorded", mix.name);
+    let readbacks: Vec<Vec<u64>> =
+        handles.iter().map(|&h| rt.copy_result(h).unwrap().to_vec()).collect();
+    let counters: Vec<_> = rt.counters().iter().collect();
+    (report.total_cycles, digest(&(report, counters, event_times, readbacks)))
+}
+
+/// A sampled (period 64) session of `mix` — the `profile` bin's
+/// submission pattern — and its metrics snapshot.
+fn sampled_snapshot(mix: &TrafficMix) -> MetricsSnapshot {
+    let mut rt = Session::new(GpuConfig::small().with_sample_period(64));
+    let tenants: Vec<usize> =
+        mix.tenants.iter().map(|&protected| rt.add_tenant(protected)).collect();
+    for (i, traffic) in mix.streams.iter().enumerate() {
+        let spec = mix.spec_of(i);
+        let tenant = tenants[traffic.tenant];
+        let prepared = prepare_in(&spec, &mut rt.tenant_mut(tenant).allocator);
+        let stream = rt.create_stream(tenant).unwrap();
+        let buf = prepared.launch.params[0];
+        let words: Vec<u64> = (0..traffic.h2d_words as u64).collect();
+        rt.memcpy_h2d(stream, buf, &words).unwrap();
+        rt.launch(stream, prepared.launch).unwrap();
+        rt.memcpy_d2h(stream, buf, traffic.d2h_bytes).unwrap();
     }
+    rt.synchronize().unwrap();
+    rt.metrics_snapshot()
 }
 
 #[test]
 fn concurrent_runtime_streams_are_bit_identical_across_thread_counts() {
-    // The runtime layer extends the invariant to whole host programs:
-    // concurrent multi-tenant streams must produce bit-identical per-kernel
-    // SimStats, per-stream/per-tenant counters, event timestamps, and
-    // readback payloads at any `sim_threads` and any `mem_banks` — the
-    // tenants' 4 GiB global slices sit at wildly different addresses, but
-    // line-granular interleaving spreads every slice across every bank.
-    for mix in runtime_mixes() {
-        let serial = run_mix_at(&mix, 1, 1);
-        assert!(serial.report.total_cycles > 0, "{}: session ran", mix.name);
-        assert!(
-            serial.event_times.iter().all(Option::is_some),
-            "{}: all completion events recorded",
-            mix.name
-        );
-        for (threads, banks) in [(2, 1), (8, 1), (2, 4), (8, 4)] {
-            let parallel = run_mix_at(&mix, threads, banks);
-            let cell = format!("{}: {threads} threads x {banks} banks", mix.name);
-            assert_eq!(serial.report, parallel.report, "{cell}: runtime report diverged");
-            assert_eq!(
-                serial.counters, parallel.counters,
-                "{cell}: stream/tenant counters diverged"
-            );
-            assert_eq!(
-                serial.event_times, parallel.event_times,
-                "{cell}: event timestamps diverged"
-            );
-            assert_eq!(serial.readbacks, parallel.readbacks, "{cell}: D2H payloads diverged");
-        }
-    }
+    // Whole host programs: concurrent multi-tenant streams' per-kernel
+    // SimStats, per-stream/per-tenant counters, event timestamps and
+    // readback payloads.
+    let got: Vec<(String, Pin)> = runtime_mixes()
+        .iter()
+        .map(|mix| {
+            let (cycles, session) = run_mix(mix);
+            // One digest covers the whole session (see `run_mix`).
+            let pin = Pin { cycles, stats: session, memory: 0, counters: 0, trace: 0 };
+            (mix.name.to_string(), pin)
+        })
+        .collect();
+    check(
+        "runtime mixes",
+        &got,
+        &[
+            Pin {
+                cycles: 15275,
+                stats: 0xc6948ed1147fad9d,
+                memory: 0x0000000000000000,
+                counters: 0x0000000000000000,
+                trace: 0x0000000000000000,
+            }, // solo
+            Pin {
+                cycles: 18703,
+                stats: 0x6be9b27322abf7d8,
+                memory: 0x0000000000000000,
+                counters: 0x0000000000000000,
+                trace: 0x0000000000000000,
+            }, // dual-tenant
+            Pin {
+                cycles: 17297,
+                stats: 0x34d3bf24c3109b08,
+                memory: 0x0000000000000000,
+                counters: 0x0000000000000000,
+                trace: 0x0000000000000000,
+            }, // quad-stream
+        ],
+    );
+
+    // The sampling profiler on a multi-tenant session: samples are taken
+    // in phase A from SM-local state and absorbed in ascending SM order,
+    // so the whole snapshot (profiles, histograms, counters) is pinned.
+    let mix = runtime_mixes().into_iter().find(|m| m.name == "quad-stream").unwrap();
+    let snap = sampled_snapshot(&mix);
+    assert!(!snap.frame.profiles.is_empty(), "sampling on must produce profiles");
+    assert!(
+        snap.frame.profiles.values().all(|p| p.samples() > 0),
+        "every profiled kernel must have samples"
+    );
+    assert!(!snap.frame.histograms.is_empty(), "latency histograms must be populated");
+    let pin = Pin { cycles: 0, stats: digest(&snap), memory: 0, counters: 0, trace: 0 };
+    check(
+        "sampled quad-stream",
+        &[("quad-stream/sampled".into(), pin)],
+        &[
+            Pin {
+                cycles: 0,
+                stats: 0x181ff367f6f6af67,
+                memory: 0x0000000000000000,
+                counters: 0x0000000000000000,
+                trace: 0x0000000000000000,
+            }, // quad-stream/sampled
+        ],
+    );
 }
 
 #[test]
 fn random_kernels_property_bit_identical_across_thread_counts() {
-    // Property test: randomized variations of the Table V generator specs
-    // must stay thread-count invariant. SplitMix64 keeps it reproducible.
+    // Randomized variations of the Table V generator specs; SplitMix64
+    // keeps them reproducible.
     let mut rng = SplitMix64::new(0x1E71_0001);
     let base = all_workloads();
-    for case in 0..6u64 {
-        let mut spec = base[rng.below(base.len() as u64) as usize].clone();
-        spec.iters = rng.range(2, 6) as u32;
-        spec.blocks = rng.range(4, 17) as usize;
-        spec.threads_per_block = 32 << rng.below(3); // 32/64/128
-        spec.compute_per_mem = rng.below(8) as u32;
-        spec.ptr_ops_per_mem_x2 = rng.range(1, 5) as u32;
-        spec.uncoalesced = rng.below(2) == 1;
-        spec.barrier_per_iter = rng.below(2) == 1;
-        let prepared = prepare(&spec, AlignmentPolicy::PowerOfTwo);
-        let probe: Vec<u64> = prepared.buffers.iter().map(|&(b, _)| b).collect();
-        let label = format!("random case {case} ({})", spec.name);
-        assert_thread_invariant(
-            GpuConfig::small(),
-            &prepared.launch,
-            || Box::new(LmiMechanism::default_config()),
-            &probe,
-            &label,
-        );
-    }
+    let got: Vec<(String, Pin)> = (0..6u64)
+        .map(|case| {
+            let mut spec = base[rng.below(base.len() as u64) as usize].clone();
+            spec.iters = rng.range(2, 6) as u32;
+            spec.blocks = rng.range(4, 17) as usize;
+            spec.threads_per_block = 32 << rng.below(3); // 32/64/128
+            spec.compute_per_mem = rng.below(8) as u32;
+            spec.ptr_ops_per_mem_x2 = rng.range(1, 5) as u32;
+            spec.uncoalesced = rng.below(2) == 1;
+            spec.barrier_per_iter = rng.below(2) == 1;
+            let prepared = prepare(&spec, AlignmentPolicy::PowerOfTwo);
+            let mut mech = LmiMechanism::default_config();
+            let (_, pin) =
+                run_pinned(GpuConfig::small(), &prepared.launch, &mut mech, &prepared.buffers);
+            (format!("case {case} ({})", spec.name), pin)
+        })
+        .collect();
+    check(
+        "random kernels",
+        &got,
+        &[
+            Pin {
+                cycles: 9813,
+                stats: 0xe6463ce187a0527d,
+                memory: 0xa053acaaef48642f,
+                counters: 0xef36d747d8a3ea8f,
+                trace: 0xe175c6bee707bb17,
+            }, // case 0 (LSTM)
+            Pin {
+                cycles: 15167,
+                stats: 0x61f8cc13e6d27989,
+                memory: 0x873851fc0e060f2e,
+                counters: 0x77ed39883dfa81fc,
+                trace: 0x4e64b207cf00e09c,
+            }, // case 1 (MOTR)
+            Pin {
+                cycles: 11452,
+                stats: 0xf40c82aafdb14402,
+                memory: 0x1a6b8dbc2a09b83a,
+                counters: 0x88737bbf42534e7d,
+                trace: 0x6eb4119053b3bf77,
+            }, // case 2 (nn)
+            Pin {
+                cycles: 12830,
+                stats: 0x17cf975c696d0e3c,
+                memory: 0x965e8448985928e9,
+                counters: 0xa2c053d7f6c7aa86,
+                trace: 0xa0ed5e77fc86cfb9,
+            }, // case 3 (particlefilter_float)
+            Pin {
+                cycles: 885,
+                stats: 0x3a651f77fc396f9d,
+                memory: 0xcdcb0738a0a6fbe1,
+                counters: 0x62fcc3d296f49eb2,
+                trace: 0xd2cdfafe004a3b56,
+            }, // case 4 (BEVerse)
+            Pin {
+                cycles: 1494,
+                stats: 0x9c3907b3f4461c63,
+                memory: 0x0e49a0ab7c093996,
+                counters: 0x03e82bf55081bd50,
+                trace: 0xdc11082a54d96b18,
+            }, // case 5 (LSTM)
+        ],
+    );
 }
 
 #[test]
 fn fast_forward_skips_identically_across_thread_counts() {
     // One warp per SM running a chain of dependent MUFUs: after every
     // issue the sole warp stalls on the scoreboard for the full MUFU
-    // latency, so every simulated cycle between issues is dead. The
-    // engine's `next_ready` fast-forward must skip those cycles — and the
-    // serial driver and the parallel leader must skip to the *identical*
-    // cycle, which the bit-identity assertion below enforces via
-    // `SimStats` (cycles, stalls, samples) and the full telemetry image.
+    // latency, so every simulated cycle between issues is dead and the
+    // engine's `next_ready` fast-forward must skip them.
     const CHAIN: u64 = 64;
     let cfg = GpuConfig::small();
     let mufu_latency = u64::from(cfg.fpu_latency) * 2;
@@ -518,15 +604,25 @@ fn fast_forward_skips_identically_across_thread_counts() {
     }
     b.push(Instruction::exit());
     let launch = Launch::new(b.build()).grid(cfg.num_sms).block(32).phase(7);
-    assert_thread_invariant(cfg, &launch, || Box::new(NullMechanism), &[], "fast-forward chain");
+    let (stats, pin) = run_pinned(cfg, &launch, &mut NullMechanism, &[]);
+    check(
+        "fast-forward chain",
+        &[("ff-chain".into(), pin)],
+        &[
+            Pin {
+                cycles: 516,
+                stats: 0x445b6aaf02f7f1a0,
+                memory: 0x85d0cad77e171953,
+                counters: 0x7fdfe817a8bfe7e9,
+                trace: 0x5004f6276e19a8c1,
+            }, // ff-chain
+        ],
+    );
 
     // The skip actually happened: each issue records at most one
     // scoreboard-stall cycle (the probe that discovers the dependency)
     // instead of `latency - 1` of them, yet the clock still advances the
     // full dependency chain.
-    let mut gpu = Gpu::new(cfg);
-    let mut mech = NullMechanism;
-    let stats = gpu.run(&launch, &mut mech);
     assert!(
         stats.cycles >= (CHAIN - 1) * mufu_latency,
         "dependency chain must pay full latency ({} cycles for chain of {CHAIN})",

@@ -12,7 +12,7 @@
 //! * **Detection by class**: one injected defect per class is caught by
 //!   exactly the mechanisms whose design covers it (LMI all of them).
 //! * **Engine determinism**: statistics and memory are bit-identical
-//!   across `sim_threads` × `mem_banks` configurations.
+//!   with counters and the tracer off and on.
 //!
 //! Seeded by `lmi-telemetry`'s SplitMix64 so failures reproduce exactly;
 //! case budgets are modest because debug-mode CI runs each case as ten

@@ -4,7 +4,6 @@
 //! * kernels from different streams run **concurrently** on disjoint SM
 //!   partitions, in measurably fewer total simulated cycles than the same
 //!   submissions chained back-to-back;
-//! * per-kernel `SimStats` are bit-identical at `sim_threads` ∈ {1, 2, 8};
 //! * a cross-tenant OOB attempt is caught by the victim-independent LMI
 //!   check and attributed to the offending stream and tenant in telemetry.
 
@@ -37,8 +36,8 @@ fn worker(name: &str, iters: u32) -> Program {
 /// Submits the two-tenant, two-stream pipeline. With `chained`, stream B
 /// waits on an event recorded after stream A's kernel — the back-to-back
 /// serial baseline; otherwise both kernels are free to share the GPU.
-fn two_stream_run(threads: usize, chained: bool) -> RuntimeReport {
-    let mut rt = Runtime::new(GpuConfig::small().with_sim_threads(threads));
+fn two_stream_run(chained: bool) -> RuntimeReport {
+    let mut rt = Runtime::new(GpuConfig::small());
     let ta = rt.add_tenant(true);
     let tb = rt.add_tenant(true);
     let sa = rt.create_stream(ta).unwrap();
@@ -60,8 +59,8 @@ fn two_stream_run(threads: usize, chained: bool) -> RuntimeReport {
 
 #[test]
 fn concurrent_streams_beat_back_to_back_on_disjoint_partitions() {
-    let concurrent = two_stream_run(1, false);
-    let serial = two_stream_run(1, true);
+    let concurrent = two_stream_run(false);
+    let serial = two_stream_run(true);
 
     let (ka, kb) = (&concurrent.kernels[0], &concurrent.kernels[1]);
     assert!(
@@ -87,18 +86,6 @@ fn concurrent_streams_beat_back_to_back_on_disjoint_partitions() {
     // The serial baseline really is back-to-back.
     let (sa, sb) = (&serial.kernels[0], &serial.kernels[1]);
     assert!(sb.started_at >= sa.completed_at, "chained kernel starts after the event");
-}
-
-#[test]
-fn per_kernel_stats_are_identical_across_sim_threads() {
-    let reference = two_stream_run(1, false);
-    for threads in [2, 8] {
-        let other = two_stream_run(threads, false);
-        assert_eq!(reference, other, "RuntimeReport diverged at {threads} threads");
-        for (a, b) in reference.kernels.iter().zip(&other.kernels) {
-            assert_eq!(a.stats, b.stats, "SimStats for {} diverged at {threads} threads", a.name);
-        }
-    }
 }
 
 #[test]
