@@ -25,6 +25,21 @@
 //! The order is the semantics: it fixes the cache hit/miss sequence, heap
 //! allocation order, counters, trace contents and forensics, so simulated
 //! outputs are a pure function of the inputs.
+//!
+//! **Sleeping SMs.** Only an SM's own issues and their phase-C results
+//! change its warps. So once its phase A issues nothing and reports
+//! `next_ready = R`, every phase A before `R` would repeat that cycle: no
+//! issue, the same stall counts, the same `R`. The SM sleeps until `R`:
+//! phase A and phase C skip it, and the B-check charges the stall counts
+//! its last phase A left in its (otherwise empty) cycle events. Profiler
+//! sample cycles run every SM's phase A. A finished SM sleeps for good.
+//!
+//! **Hot counters.** While the registry records, the per-SM `issued`,
+//! `mem_insts`, `transactions`, `heap_calls` and `stall.*` counters and the
+//! per-warp `issued` counters accumulate in flat arrays and are flushed
+//! into the registry once per run. A key is created exactly when the
+//! per-event updates would have created it (a zero-line op still creates
+//! its SM's `transactions` key).
 
 use lmi_alloc::{AllocError, DeviceHeap};
 use lmi_core::error::TemporalKind;
@@ -68,6 +83,11 @@ struct CheckCtx<'l, 'a> {
     kernel_of_sm: &'l [usize],
     cfg: &'l GpuConfig,
     sink: &'l mut TelemetrySink,
+    /// Hot counters per slot; empty while the registry is disabled.
+    hot: Vec<HotCounters>,
+    /// Per-warp `issued` counters, slot after slot (see
+    /// [`HotCounters::first_warp`]).
+    warp_issued: Vec<u64>,
     /// Reused per-op metadata-address scratch (sorted + deduped).
     meta_scratch: Vec<u64>,
     /// This cycle's metadata fetches, in canonical (slot, op, address)
@@ -83,6 +103,61 @@ impl<'l, 'a> CheckCtx<'l, 'a> {
     }
 }
 
+/// One SM's share of the engine's hot counters, flushed into the registry
+/// by [`HotCounters::flush`].
+struct HotCounters {
+    issued: u64,
+    mem_insts: u64,
+    heap_calls: u64,
+    /// `None` until a memory op charges transactions (possibly zero).
+    transactions: Option<u64>,
+    stalls: [u64; 4],
+    /// Index of the SM's warp 0 in [`CheckCtx::warp_issued`].
+    first_warp: usize,
+}
+
+/// Counter names of [`CycleEvents::stalls`], by [`crate::sm::StallReason::index`].
+const STALL_NAMES: [&str; 4] =
+    ["stall.scoreboard", "stall.lsu_busy", "stall.ocu_verdict", "stall.no_ready_warp"];
+
+impl HotCounters {
+    fn new(first_warp: usize) -> HotCounters {
+        HotCounters {
+            issued: 0,
+            mem_insts: 0,
+            heap_calls: 0,
+            transactions: None,
+            stalls: [0; 4],
+            first_warp,
+        }
+    }
+
+    /// Adds every counter the run touched to the registry; `warp_issued`
+    /// is this SM's slice of the per-warp counters.
+    fn flush(&self, sm: usize, warp_issued: &[u64], sink: &mut TelemetrySink) {
+        let counts = [
+            ("issued", self.issued),
+            ("mem_insts", self.mem_insts),
+            ("heap_calls", self.heap_calls),
+        ]
+        .into_iter()
+        .chain(STALL_NAMES.into_iter().zip(self.stalls));
+        for (name, count) in counts {
+            if count > 0 {
+                sink.counters.add(Scope::Sm(sm), name, count);
+            }
+        }
+        if let Some(t) = self.transactions {
+            sink.counters.add(Scope::Sm(sm), "transactions", t);
+        }
+        for (warp, &count) in warp_issued.iter().enumerate() {
+            if count > 0 {
+                sink.counters.add(Scope::Warp { sm, warp }, "issued", count);
+            }
+        }
+    }
+}
+
 /// One metadata fetch queued by the B-check (slot = index into the
 /// engine's slot list, op = index into that SM's issue list).
 struct MetaReq {
@@ -91,11 +166,21 @@ struct MetaReq {
     addr: u64,
 }
 
-/// One SM with its own L1 (SM-local phase-A state) and its cycle events.
+/// One SM with its own L1 (SM-local phase-A state), its cycle events and
+/// its sleep state.
 struct SmSlot<'l> {
     sm: Sm,
     l1: &'l mut Cache,
     events: CycleEvents,
+    /// First cycle at which phase A must run again; phase A and phase C
+    /// skip the SM before it (see the module docs).
+    wake_at: u64,
+    /// `next_ready` of the SM's last phase A.
+    next_ready: u64,
+    /// `all_done` as of the SM's last phase C.
+    done: bool,
+    /// Whether phase A ran this cycle (phase C runs exactly when it did).
+    awake: bool,
 }
 
 /// Runs the machine to completion and returns the final cycle number.
@@ -106,30 +191,55 @@ pub(crate) fn run(sms: &mut Vec<Sm>, l1s: Vec<&mut Cache>, shared: &mut SharedCt
     let SharedCtx { hierarchy, memory, kernels, kernel_of_sm, cfg, sink } = shared;
     let cfg = **cfg;
     let tracer_on = sink.tracer.is_enabled();
+    let mut hot = Vec::new();
+    let mut warps = 0;
+    if sink.counters.is_enabled() {
+        for sm in sms.iter() {
+            hot.push(HotCounters::new(warps));
+            warps += sm.warps.len();
+        }
+    }
     let mut ctx = CheckCtx {
         kernels,
         kernel_of_sm,
         cfg: &cfg,
         sink,
+        hot,
+        warp_issued: vec![0; warps],
         meta_scratch: Vec::new(),
         meta_q: Vec::new(),
     };
     let mut slots: Vec<SmSlot> = sms
         .drain(..)
         .zip(l1s)
-        .map(|(sm, l1)| SmSlot { sm, l1, events: CycleEvents::default() })
+        .map(|(sm, l1)| SmSlot {
+            sm,
+            l1,
+            events: CycleEvents::default(),
+            wake_at: 0,
+            next_ready: u64::MAX,
+            done: false,
+            awake: false,
+        })
         .collect();
     let mut now = 0u64;
     loop {
         // Phase A.
+        let sample_cycle = cfg.sample_period > 0 && now.is_multiple_of(cfg.sample_period);
         let mut issued_any = false;
         let mut next_ready = u64::MAX;
-        for SmSlot { sm, l1, events } in &mut slots {
-            let outcome = sm.step_phase_a(now, &cfg, events, l1);
-            issued_any |= outcome.issued_any;
-            next_ready = next_ready.min(outcome.next_ready);
+        for slot in &mut slots {
+            slot.awake = now >= slot.wake_at || sample_cycle;
+            if slot.awake {
+                let outcome = slot.sm.step_phase_a(now, &cfg, &mut slot.events, slot.l1);
+                issued_any |= outcome.issued_any;
+                slot.next_ready = outcome.next_ready;
+                slot.wake_at = if outcome.issued_any { now + 1 } else { outcome.next_ready };
+            }
+            next_ready = next_ready.min(slot.next_ready);
         }
-        // Phase B-check, then the metadata and memory passes.
+        // Phase B-check, then the metadata and memory passes. A sleeping
+        // SM's events hold no issue, only its last phase A's stall counts.
         for (slot_idx, SmSlot { sm, events, .. }) in slots.iter_mut().enumerate() {
             apply_cycle(sm.id, slot_idx, events, now, &mut ctx);
         }
@@ -146,9 +256,12 @@ pub(crate) fn run(sms: &mut Vec<Sm>, l1s: Vec<&mut Cache>, shared: &mut SharedCt
         }
         // Phase C.
         let mut all_done = true;
-        for SmSlot { sm, events, .. } in &mut slots {
-            sm.apply_results(events, now, &cfg);
-            all_done &= sm.all_done();
+        for slot in slots.iter_mut() {
+            if slot.awake {
+                slot.sm.apply_results(&mut slot.events, now, &cfg);
+                slot.done = slot.sm.all_done();
+            }
+            all_done &= slot.done;
         }
         if all_done {
             break;
@@ -160,6 +273,10 @@ pub(crate) fn run(sms: &mut Vec<Sm>, l1s: Vec<&mut Cache>, shared: &mut SharedCt
             next_ready.max(now + 1)
         };
         debug_assert!(now < 1_000_000_000, "runaway simulation");
+    }
+    for (slot, hot) in slots.iter().zip(&ctx.hot) {
+        let warps = &ctx.warp_issued[hot.first_warp..][..slot.sm.warps.len()];
+        hot.flush(slot.sm.id, warps, ctx.sink);
     }
     sms.extend(slots.into_iter().map(|s| s.sm));
     now
@@ -184,11 +301,9 @@ fn apply_cycle(
         stats.stalls.lsu_busy += s[1];
         stats.stalls.ocu_verdict += s[2];
         stats.stalls.no_ready_warp += s[3];
-        const NAMES: [&str; 4] =
-            ["stall.scoreboard", "stall.lsu_busy", "stall.ocu_verdict", "stall.no_ready_warp"];
-        for (count, name) in s.iter().zip(NAMES) {
-            if *count > 0 {
-                ctx.sink.counters.add(Scope::Sm(sm_id), name, *count);
+        if let Some(hot) = ctx.hot.get_mut(slot_idx) {
+            for (total, count) in hot.stalls.iter_mut().zip(s) {
+                *total += count;
             }
         }
     }
@@ -233,7 +348,9 @@ fn apply_event(
     }
     if let Some(space) = ev.mem_space {
         ctx.kernel(sm_id).stats.record_mem(space);
-        ctx.sink.counters.inc(Scope::Sm(sm_id), "mem_insts");
+        if let Some(hot) = ctx.hot.get_mut(slot_idx) {
+            hot.mem_insts += 1;
+        }
     }
     let mnemonic = ev.opcode.map(|op| op.mnemonic()).unwrap_or("");
     ev.result = match ev.shared.take() {
@@ -245,6 +362,9 @@ fn apply_event(
         Some(SharedOp::Heap { dst, pair, malloc, lanes }) => {
             let r = apply_heap(sm_id, ev, mnemonic, dst, pair, malloc, &lanes, pool, now, ctx);
             pool.put_pairs(lanes);
+            if let Some(hot) = ctx.hot.get_mut(slot_idx) {
+                hot.heap_calls += 1;
+            }
             Some(r)
         }
         Some(op @ SharedOp::Mem { .. }) => {
@@ -258,8 +378,10 @@ fn apply_event(
         }
         None => None,
     };
-    ctx.sink.counters.inc(Scope::Sm(sm_id), "issued");
-    ctx.sink.counters.inc(Scope::Warp { sm: sm_id, warp: ev.warp }, "issued");
+    if let Some(hot) = ctx.hot.get_mut(slot_idx) {
+        hot.issued += 1;
+        ctx.warp_issued[hot.first_warp + ev.warp] += 1;
+    }
     let retiring = ev.retired_local
         || ev.result.as_ref().is_some_and(|r| r.retire)
         || ev.verdict.is_some_and(|v| v.cancelled);
@@ -404,7 +526,6 @@ fn apply_heap(
         }
     }
     let ready_mem_at = if malloc { Some(now + ctx.cfg.heap_call_latency as u64) } else { None };
-    ctx.sink.counters.inc(Scope::Sm(sm_id), "heap_calls");
     if ctx.sink.tracer.is_enabled() {
         ctx.sink.tracer.complete_with(
             mnemonic,
@@ -528,7 +649,9 @@ fn check_mem(
     }
 
     ctx.kernel(sm_id).stats.transactions += line_count;
-    ctx.sink.counters.add(Scope::Sm(sm_id), "transactions", *line_count);
+    if let Some(hot) = ctx.hot.get_mut(slot_idx) {
+        *hot.transactions.get_or_insert(0) += line_count;
+    }
 
     // Queue the mechanism's metadata fetches (bounds must be known before
     // the access may issue — check-before-access; the memory pass starts

@@ -574,6 +574,49 @@ mod tests {
     }
 
     #[test]
+    fn kernel_without_exit_retires_at_its_end() {
+        // A warp that runs past its last instruction retires there instead
+        // of never becoming issuable again; its earlier store has landed.
+        let base = layout::GLOBAL_BASE + 0x2800;
+        let mut b = ProgramBuilder::new("no-exit");
+        b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+        b.push(Instruction::mov(Reg(2), 7));
+        b.push(Instruction::stg(MemRef::new(Reg(4), 0, 4), Reg(2)));
+        let launch = Launch::new(b.build()).grid(1).block(32).param(base);
+        let mut gpu = Gpu::new(GpuConfig::small());
+        let stats = gpu.run(&launch, &mut NullMechanism);
+        assert_eq!(gpu.memory.read(base, 4), 7);
+        assert_eq!(stats.issued, 3, "running off the end is not an instruction");
+    }
+
+    #[test]
+    fn divergent_path_without_exit_lets_the_other_path_finish() {
+        // if (tid < 16) out[tid] = 1 (no EXIT); else { out[tid] = 2; EXIT }.
+        // The taken path runs first and falls off the program; retiring it
+        // resumes the suspended lanes.
+        let base = layout::GLOBAL_BASE + 0x2C00;
+        let mut b = ProgramBuilder::new("div-no-exit");
+        b.push(Instruction::s2r(Reg(0), lmi_isa::op::SpecialReg::TidX));
+        b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+        b.push(Instruction::lea64(Reg(6), Reg(4), Reg(0), 2));
+        b.push(Instruction::isetp(PredReg(0), Reg(0), CmpOp::Lt, 16));
+        let taken = b.forward_branch_if(PredReg(0), false);
+        b.push(Instruction::mov(Reg(8), 2));
+        b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(8)));
+        b.push(Instruction::exit());
+        b.bind(taken);
+        b.push(Instruction::mov(Reg(8), 1));
+        b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(8)));
+        let launch = Launch::new(b.build()).grid(1).block(32).param(base);
+        let mut gpu = Gpu::new(GpuConfig::small());
+        gpu.run(&launch, &mut NullMechanism);
+        for tid in 0..32u64 {
+            let expect = if tid < 16 { 1 } else { 2 };
+            assert_eq!(gpu.memory.read(base + tid * 4, 4), expect, "thread {tid}");
+        }
+    }
+
+    #[test]
     fn kernel_malloc_returns_distinct_valid_pointers() {
         let base = layout::GLOBAL_BASE + 0x3000;
         let mut b = ProgramBuilder::new("km");

@@ -116,7 +116,7 @@ pub(crate) struct Sm {
 /// next instruction). Feeds [`crate::stats::StallBreakdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StallReason {
-    /// Launch-ramp delay, fell off the program, or no candidate at all.
+    /// Launch-ramp delay, or no candidate at all.
     NoReadyWarp,
     /// Waiting on an ALU-produced register or predicate.
     Scoreboard,
@@ -402,9 +402,6 @@ impl Sm {
         if self.greedy.len() != cfg.schedulers_per_sm {
             self.greedy = vec![None; cfg.schedulers_per_sm];
         }
-        // One atomic refcount bump per SM-cycle buys `&DecodedStream`
-        // borrows inside `&mut self` methods.
-        let stream = Arc::clone(&self.stream);
         let mut issued_any = false;
         let mut next_ready = u64::MAX;
         let nwarps = self.warps.len();
@@ -425,7 +422,7 @@ impl Sm {
             let mut soonest: Option<(u64, StallReason)> = None;
             if let Some(g) = greedy {
                 any_candidate = true;
-                let (r, reason) = self.ready_info(g, cfg.lsu_verdict_overlap);
+                let (r, reason) = self.ready(g, cfg.lsu_verdict_overlap);
                 if r <= now {
                     picked = Some(g);
                 } else {
@@ -440,7 +437,7 @@ impl Sm {
                         let warp = &self.warps[w];
                         if !warp.done && !warp.at_barrier {
                             any_candidate = true;
-                            let (r, reason) = self.ready_info(w, cfg.lsu_verdict_overlap);
+                            let (r, reason) = self.ready(w, cfg.lsu_verdict_overlap);
                             if r <= now {
                                 picked = Some(w);
                                 break;
@@ -473,6 +470,9 @@ impl Sm {
             }
             match picked {
                 Some(w) => {
+                    // One atomic refcount bump per issue buys a
+                    // `&DecodedStream` borrow inside `&mut self` methods.
+                    let stream = Arc::clone(&self.stream);
                     let ev = self.issue_phase_a(&stream, w, now, cfg, &mut out.pool, l1);
                     out.issues.push(ev);
                     self.greedy[sched] = Some(w);
@@ -508,11 +508,9 @@ impl Sm {
                 sample.pcs.push((ev.pc as u32, 1));
                 WarpState::Issued
             } else {
-                let (r, reason) = self.ready_info(w, cfg.lsu_verdict_overlap);
-                if r == u64::MAX {
-                    // Fell off the program end; retires at next issue.
-                    WarpState::Retired
-                } else if r <= now {
+                let (r, reason) =
+                    warp.ready.unwrap_or_else(|| self.ready_info(w, cfg.lsu_verdict_overlap));
+                if r <= now {
                     // Eligible, but this cycle's scheduler slots went to
                     // greedier/older warps.
                     WarpState::Ready
@@ -538,6 +536,7 @@ impl Sm {
     pub fn apply_results(&mut self, events: &mut CycleEvents, now: u64, cfg: &GpuConfig) {
         let CycleEvents { issues, pool, .. } = events;
         for ev in issues.iter_mut() {
+            self.warps[ev.warp].ready = None;
             // Completion time first: `mem_done_at` borrows the shared op
             // this branch consumes.
             let mem_done = ev.mem_done_at(now, cfg);
@@ -614,15 +613,26 @@ impl Sm {
         }
     }
 
+    /// [`Sm::ready_info`] through the warp's memo ([`Warp::ready`]).
+    fn ready(&mut self, w: usize, verdict_overlap: u32) -> (u64, StallReason) {
+        if let Some(r) = self.warps[w].ready {
+            return r;
+        }
+        let r = self.ready_info(w, verdict_overlap);
+        self.warps[w].ready = Some(r);
+        r
+    }
+
     /// Earliest cycle at which warp `w`'s next instruction can issue, and
     /// the constraint that binds (for stall attribution when it is in the
-    /// future).
+    /// future). Independent of the current cycle.
     fn ready_info(&self, w: usize, verdict_overlap: u32) -> (u64, StallReason) {
         let warp = &self.warps[w];
         let di = match self.stream.get(warp.pc) {
             Some(d) => d,
-            // Fell off the program: treated as exit at issue.
-            None => return (u64::MAX, StallReason::NoReadyWarp),
+            // Fell off the program: issuable after the ramp, and the issue
+            // retires it (see `issue_phase_a`).
+            None => return (warp.start_cycle, StallReason::NoReadyWarp),
         };
         // The launch/dispatch ramp: not a pipeline hazard.
         let mut ready = warp.start_cycle;
@@ -683,6 +693,7 @@ impl Sm {
         l1: &mut Cache,
     ) -> IssueEvent {
         let warp = &mut self.warps[w];
+        warp.ready = None;
         let mut ev = IssueEvent {
             warp: w,
             pc: warp.pc,
@@ -782,17 +793,16 @@ impl Sm {
             }
             Opcode::Isetp => {
                 let pred = lmi_isa::PredReg(di.dst.0 & 7);
-                let cmp = di.cmp;
+                let a = self.fetch32(w, &di.srcs[0], exec_mask);
+                let b = self.fetch32(w, &di.srcs[1], exec_mask);
+                let warp = &mut self.warps[w];
                 let mut bits = exec_mask;
                 while bits != 0 {
                     let l = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let a = self.fetch32(w, l, &di.srcs[0]) as i32 as i64;
-                    let b = self.fetch32(w, l, &di.srcs[1]) as i32 as i64;
-                    let warp = &mut self.warps[w];
-                    warp.write_pred(l, pred, cmp.eval(a, b));
+                    let taken = di.cmp.eval(a[l] as i32 as i64, b[l] as i32 as i64);
+                    warp.write_pred(l, pred, taken);
                 }
-                let warp = &mut self.warps[w];
                 warp.set_pred_ready_at(pred, now + 2);
                 warp.pc += 1;
             }
@@ -803,16 +813,12 @@ impl Sm {
                 self.issue_int_phase_a(w, di, exec_mask, now, cfg, &mut ev, pool);
             }
             op if op.class() == OpcodeClass::Fpu => {
-                let mut bits = exec_mask;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let a = self.fetch32(w, l, &di.srcs[0]);
-                    let b = self.fetch32(w, l, &di.srcs[1]);
-                    let c = self.fetch32(w, l, &di.srcs[2]);
-                    let v = exec::fpu(di.opcode, a, b, c);
-                    self.warps[w].write(l, di.dst, v);
-                }
+                let a = self.fetch32(w, &di.srcs[0], exec_mask);
+                let b = self.fetch32(w, &di.srcs[1], exec_mask);
+                let c = self.fetch32(w, &di.srcs[2], exec_mask);
+                let v: [u32; WARP_SIZE] =
+                    std::array::from_fn(|l| exec::fpu(di.opcode, a[l], b[l], c[l]));
+                self.warps[w].write_row(di.dst, &v, exec_mask);
                 let lat =
                     if di.opcode == Opcode::Mufu { cfg.fpu_latency * 2 } else { cfg.fpu_latency };
                 let warp = &mut self.warps[w];
@@ -828,28 +834,42 @@ impl Sm {
         ev
     }
 
-    fn fetch32(&self, w: usize, lane: usize, src: &Operand) -> u32 {
+    /// Operand `src` of warp `w` for every lane, fetched once per warp: a
+    /// register row, a broadcast immediate, or one constant-bank read per
+    /// lane of `exec` (other lanes read zero; callers consume only
+    /// `exec` lanes).
+    fn fetch32(&self, w: usize, src: &Operand, exec: LaneMask) -> [u32; WARP_SIZE] {
         let warp = &self.warps[w];
         match src {
-            Operand::None => 0,
-            Operand::Reg(r) => warp.read(lane, *r),
-            Operand::Imm(v) => *v as u32,
+            Operand::None => [0; WARP_SIZE],
+            Operand::Reg(r) => warp.row(*r),
+            Operand::Imm(v) => [*v as u32; WARP_SIZE],
             Operand::Const { offset, .. } => {
-                self.launch.const_read(warp.block, warp.base_tid + lane as u64, *offset, 4) as u32
+                self.const_row(warp, exec, *offset, 4).map(|v| v as u32)
             }
         }
     }
 
-    fn fetch64(&self, w: usize, lane: usize, src: &Operand) -> u64 {
+    /// [`Sm::fetch32`] for 64-bit operands (immediates sign-extend).
+    fn fetch64(&self, w: usize, src: &Operand, exec: LaneMask) -> [u64; WARP_SIZE] {
         let warp = &self.warps[w];
         match src {
-            Operand::None => 0,
-            Operand::Reg(r) => warp.read64(lane, *r),
-            Operand::Imm(v) => *v as i64 as u64,
-            Operand::Const { offset, .. } => {
-                self.launch.const_read(warp.block, warp.base_tid + lane as u64, *offset, 8)
-            }
+            Operand::None => [0; WARP_SIZE],
+            Operand::Reg(r) => warp.row64(*r),
+            Operand::Imm(v) => [*v as i64 as u64; WARP_SIZE],
+            Operand::Const { offset, .. } => self.const_row(warp, exec, *offset, 8),
         }
+    }
+
+    fn const_row(&self, warp: &Warp, exec: LaneMask, offset: u16, width: u8) -> [u64; WARP_SIZE] {
+        let mut row = [0; WARP_SIZE];
+        let mut bits = exec;
+        while bits != 0 {
+            let l = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            row[l] = self.launch.const_read(warp.block, warp.base_tid + l as u64, offset, width);
+        }
+        row
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -864,57 +884,41 @@ impl Sm {
         pool: &mut EventPool,
     ) {
         let wide = di.wide;
-        if wide && di.hints.activate {
-            // The OCU check consults the mechanism — shared state — so the
-            // whole writeback defers to phase B.
-            let mut checked = pool.take_triples();
-            let mut bits = exec_mask;
-            while bits != 0 {
-                let l = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let a = self.fetch64(w, l, &di.srcs[0]);
-                let b = self.fetch64(w, l, &di.srcs[1]);
-                let c = match di.srcs[2] {
-                    Operand::Imm(v) => v as u64,
-                    ref other => self.fetch64(w, l, other),
-                };
-                let v = exec::alu64(di.opcode, a, b, c);
-                let input = if di.hints.select == 0 { a } else { b };
-                checked.push((l, input, v));
-            }
-            if !checked.is_empty() {
+        if wide {
+            let a = self.fetch64(w, &di.srcs[0], exec_mask);
+            let b = self.fetch64(w, &di.srcs[1], exec_mask);
+            let c = self.fetch64(w, &di.srcs[2], exec_mask);
+            let v: [u64; WARP_SIZE] =
+                std::array::from_fn(|l| exec::alu64(di.opcode, a[l], b[l], c[l]));
+            if !di.hints.activate {
+                self.warps[w].write_row64(di.dst, &v, exec_mask);
+            } else if exec_mask != 0 {
+                // The OCU check consults the mechanism — shared state — so
+                // the whole writeback defers to phase B.
+                let input = if di.hints.select == 0 { &a } else { &b };
+                let mut checked = pool.take_triples();
+                let mut bits = exec_mask;
+                while bits != 0 {
+                    let l = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    checked.push((l, input[l], v[l]));
+                }
                 ev.shared =
                     Some(SharedOp::MarkedInt { dst: di.dst, pair: di.dst_pair, lanes: checked });
                 return;
             }
-            // No active lane: nothing to check, nothing written — the
-            // scoreboard update below matches the serial no-lane path.
-            pool.put_triples(checked);
+            // A marked op with no active lane: nothing to check, nothing
+            // written — only the scoreboard update below.
         } else {
-            let mut bits = exec_mask;
-            while bits != 0 {
-                let l = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if wide {
-                    let a = self.fetch64(w, l, &di.srcs[0]);
-                    let b = self.fetch64(w, l, &di.srcs[1]);
-                    let c = match di.srcs[2] {
-                        Operand::Imm(v) => v as u64,
-                        ref other => self.fetch64(w, l, other),
-                    };
-                    let v = exec::alu64(di.opcode, a, b, c);
-                    self.warps[w].write64(l, di.dst, v);
-                } else {
-                    let a = self.fetch32(w, l, &di.srcs[0]);
-                    let b = self.fetch32(w, l, &di.srcs[1]);
-                    let c = self.fetch32(w, l, &di.srcs[2]);
-                    let v = exec::alu32(di.opcode, a, b, c);
-                    // 32-bit marked ops (hand-written programs) check the low
-                    // word only — the compiler marks wide ops exclusively, so
-                    // the OCU path above is the one that matters.
-                    self.warps[w].write(l, di.dst, v);
-                }
-            }
+            let a = self.fetch32(w, &di.srcs[0], exec_mask);
+            let b = self.fetch32(w, &di.srcs[1], exec_mask);
+            let c = self.fetch32(w, &di.srcs[2], exec_mask);
+            // 32-bit marked ops (hand-written programs) are not checked —
+            // the compiler marks wide ops exclusively, so the OCU path
+            // above is the one that matters.
+            let v: [u32; WARP_SIZE] =
+                std::array::from_fn(|l| exec::alu32(di.opcode, a[l], b[l], c[l]));
+            self.warps[w].write_row(di.dst, &v, exec_mask);
         }
         let warp = &mut self.warps[w];
         let done_at = now + cfg.int_latency as u64;
@@ -938,17 +942,17 @@ impl Sm {
         // Heap calls always defer (even with no active lane the serial path
         // still counted the call and advanced pc — phase B reproduces that).
         let malloc = di.opcode == Opcode::Malloc;
+        let values = if malloc {
+            self.fetch32(w, &di.srcs[0], exec_mask).map(u64::from)
+        } else {
+            self.fetch64(w, &di.srcs[0], exec_mask)
+        };
         let mut lanes = pool.take_pairs();
         let mut bits = exec_mask;
         while bits != 0 {
             let l = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let value = if malloc {
-                self.fetch32(w, l, &di.srcs[0]) as u64
-            } else {
-                self.fetch64(w, l, &di.srcs[0])
-            };
-            lanes.push((l, value));
+            lanes.push((l, values[l]));
         }
         ev.shared = Some(SharedOp::Heap { dst: di.dst, pair: di.dst_pair, malloc, lanes });
     }
@@ -1027,23 +1031,21 @@ impl Sm {
             }
             lmi_mem::layout::LOCAL_BASE + (warp_base * stack_bytes) + offset * 32 + lane as u64 * 4
         };
+        let addrs = warp.row64(mem.addr);
+        let data = match (is_store, mem.width) {
+            (false, _) => [0; WARP_SIZE],
+            (true, 8) => warp.row64(value_reg),
+            (true, _) => warp.row(value_reg).map(u64::from),
+        };
         let mut lanes = pool.take_lane_mem();
         let mut bits = exec_mask;
         while bits != 0 {
             let l = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let raw = warp.read64(l, mem.addr).wrapping_add(mem.offset as i64 as u64);
+            let raw = addrs[l].wrapping_add(mem.offset as i64 as u64);
             let vaddr = raw & ADDR_MASK;
-            let data = if is_store {
-                if mem.width == 8 {
-                    warp.read64(l, value_reg)
-                } else {
-                    warp.read(l, value_reg) as u64
-                }
-            } else {
-                0
-            };
-            lanes.push(LaneMem { lane: l, raw, vaddr, timing_addr: timing_addr(l, vaddr), data });
+            let timing_addr = timing_addr(l, vaddr);
+            lanes.push(LaneMem { lane: l, raw, vaddr, timing_addr, data: data[l] });
         }
         // Timing: probe this SM's own L1 on the coalesced lines right here
         // in phase A (SM-local state) and mark the misses for the memory

@@ -1,9 +1,10 @@
-//! Warp state: per-lane register files, the SIMT divergence stack, and the
-//! per-warp register scoreboard used for latency hiding.
+//! Warp state: the warp's register file, the SIMT divergence stack, and
+//! the per-warp register scoreboard used for latency hiding.
 
 use lmi_isa::{PredReg, Reg};
 
 use crate::config::WARP_SIZE;
+use crate::sm::StallReason;
 
 /// A 32-lane active mask.
 pub type LaneMask = u32;
@@ -26,7 +27,9 @@ pub struct Warp {
     pub mask: LaneMask,
     /// Divergence stack: suspended `(mask, pc)` contexts.
     pub stack: Vec<(LaneMask, usize)>,
-    /// Per-lane registers, `regs[lane * regs_per_thread + reg]`.
+    /// Register-major register file, `regs[reg * WARP_SIZE + lane]`: one
+    /// register's 32 lanes are contiguous, so warp-wide execution reads
+    /// and writes whole rows ([`Warp::row`], [`Warp::write_row`]).
     regs: Vec<u32>,
     regs_per_thread: usize,
     /// Per-lane predicate registers (bitmask of 8 per lane).
@@ -54,6 +57,11 @@ pub struct Warp {
     /// First cycle this warp may issue (models the launch/dispatch ramp and
     /// decorrelates warps, like real block schedulers do).
     pub start_cycle: u64,
+    /// The SM's memoized readiness of this warp's next instruction: the
+    /// earliest issue cycle and its binding stall reason. It depends on
+    /// warp state only, which changes only when the warp issues (phase A)
+    /// or its results land (phase C); both clear it.
+    pub(crate) ready: Option<(u64, StallReason)>,
 }
 
 impl Warp {
@@ -85,23 +93,67 @@ impl Warp {
             at_barrier: false,
             last_issue: 0,
             start_cycle: (id as u64 * 7) % 23,
+            ready: None,
         }
+    }
+
+    /// Index of `reg`'s row in `regs`, or `None` for RZ and registers
+    /// beyond the allocation (which read zero and discard writes).
+    fn row_start(&self, reg: Reg) -> Option<usize> {
+        let r = reg.0 as usize;
+        (!reg.is_zero_reg() && r < self.regs_per_thread).then_some(r * WARP_SIZE)
     }
 
     /// Reads a 32-bit register for `lane` (RZ reads zero).
     pub fn read(&self, lane: usize, reg: Reg) -> u32 {
-        if reg.is_zero_reg() || reg.0 as usize >= self.regs_per_thread {
-            return 0;
-        }
-        self.regs[lane * self.regs_per_thread + reg.0 as usize]
+        self.row_start(reg).map_or(0, |i| self.regs[i + lane])
     }
 
     /// Writes a 32-bit register for `lane` (writes to RZ are discarded).
     pub fn write(&mut self, lane: usize, reg: Reg, value: u32) {
-        if reg.is_zero_reg() || reg.0 as usize >= self.regs_per_thread {
+        if let Some(i) = self.row_start(reg) {
+            self.regs[i + lane] = value;
+        }
+    }
+
+    /// All 32 lanes of a 32-bit register (RZ reads zero).
+    pub fn row(&self, reg: Reg) -> [u32; WARP_SIZE] {
+        match self.row_start(reg) {
+            Some(i) => self.regs[i..i + WARP_SIZE].try_into().expect("one row"),
+            None => [0; WARP_SIZE],
+        }
+    }
+
+    /// Writes `values` into the lanes of `reg` selected by `mask`.
+    pub fn write_row(&mut self, reg: Reg, values: &[u32; WARP_SIZE], mask: LaneMask) {
+        let Some(i) = self.row_start(reg) else { return };
+        for (l, (slot, &v)) in self.regs[i..i + WARP_SIZE].iter_mut().zip(values).enumerate() {
+            if mask & (1 << l) != 0 {
+                *slot = v;
+            }
+        }
+    }
+
+    /// All 32 lanes of a 64-bit register pair (see [`Warp::read64`]).
+    pub fn row64(&self, reg: Reg) -> [u64; WARP_SIZE] {
+        if reg.is_zero_reg() {
+            return [0; WARP_SIZE];
+        }
+        let lo = self.row(reg);
+        let hi = if reg.is_valid_pair_base() { self.row(reg.pair_high()) } else { [0; WARP_SIZE] };
+        std::array::from_fn(|l| (u64::from(hi[l]) << 32) | u64::from(lo[l]))
+    }
+
+    /// Writes `values` into the lanes of pair `reg` selected by `mask` (see
+    /// [`Warp::write64`]).
+    pub fn write_row64(&mut self, reg: Reg, values: &[u64; WARP_SIZE], mask: LaneMask) {
+        if reg.is_zero_reg() {
             return;
         }
-        self.regs[lane * self.regs_per_thread + reg.0 as usize] = value;
+        self.write_row(reg, &values.map(|v| v as u32), mask);
+        if reg.is_valid_pair_base() {
+            self.write_row(reg.pair_high(), &values.map(|v| (v >> 32) as u32), mask);
+        }
     }
 
     /// Reads a 64-bit register pair.
@@ -272,6 +324,21 @@ mod tests {
         w.write(1, Reg(2), 20);
         assert_eq!(w.read(0, Reg(2)), 10);
         assert_eq!(w.read(1, Reg(2)), 20);
+    }
+
+    #[test]
+    fn rows_match_per_lane_access() {
+        let mut w = warp();
+        let values: [u64; WARP_SIZE] = std::array::from_fn(|l| (l as u64) << 33 | l as u64);
+        w.write_row64(Reg(4), &values, 0xF0F0_F0F0);
+        for (l, &v) in values.iter().enumerate() {
+            let want = if 0xF0F0_F0F0u32 & (1 << l) != 0 { v } else { 0 };
+            assert_eq!(w.read64(l, Reg(4)), want, "lane {l}");
+        }
+        assert_eq!(w.row64(Reg(4)), std::array::from_fn(|l| w.read64(l, Reg(4))));
+        w.write_row(Reg::RZ, &[7; WARP_SIZE], FULL_MASK);
+        assert_eq!(w.row(Reg::RZ), [0; WARP_SIZE]);
+        assert_eq!(w.row(Reg(200)), [0; WARP_SIZE], "beyond the allocation reads zero");
     }
 
     #[test]

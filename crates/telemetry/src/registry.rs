@@ -4,9 +4,10 @@
 //! everything finer-grained — per-SM cache behavior, per-warp issue
 //! counts, per-mechanism check/poison/fault tallies, scheduler stall
 //! reasons — lands here, keyed by [`Scope`] and a static counter name.
-//! The registry is a plain sorted map: cheap enough to update from the
-//! simulator's issue loop, and its JSON export groups counters by scope
-//! so reports stay readable.
+//! The registry is a plain sorted map, so its JSON export groups counters
+//! by scope and reports stay readable. A map update is too slow for the
+//! simulator's per-issue and per-cycle counters, so the cycle engine keeps
+//! those in flat arrays and adds them here once per run.
 
 use std::collections::BTreeMap;
 

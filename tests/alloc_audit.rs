@@ -7,8 +7,10 @@
 //! warm-up — never to steady state.
 //!
 //! The audit installs a counting `#[global_allocator]` and runs the same
-//! seeded multi-SM workload at `N` and `2N` loop iterations on fresh GPUs,
-//! under every simulator mechanism (null, LMI, GPUShield).
+//! seeded multi-SM workload at `N` and `2N` loop iterations on fresh GPUs:
+//! through `Gpu::run` under every simulator mechanism (null, LMI,
+//! GPUShield), through `Gpu::run_with_telemetry` with the counter registry
+//! recording, and as a two-kernel `Gpu::run_resident` cohort.
 //! Doubling the simulated cycle count must leave the total allocation
 //! count **exactly equal**: any per-cycle allocation would show up as a
 //! difference proportional to the extra cycles. A warm-up run first
@@ -22,7 +24,10 @@ use lmi_baselines::GpuShield;
 use lmi_bench::alloc_audit::CountingAlloc;
 use lmi_isa::instr::CmpOp;
 use lmi_isa::{HintBits, Instruction, MemRef, PredReg, ProgramBuilder, Reg};
-use lmi_sim::{Gpu, GpuConfig, Launch, LmiMechanism, Mechanism, NullMechanism, SimStats};
+use lmi_sim::{
+    Gpu, GpuConfig, Launch, LmiMechanism, Mechanism, NullMechanism, ResidentKernel, SimStats,
+};
+use lmi_telemetry::TelemetrySink;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -52,8 +57,9 @@ fn audit_launch(iters: i32) -> Launch {
     Launch::new(b.build()).grid(16).block(64)
 }
 
-/// The mechanisms under audit, by name.
-const MECHANISMS: [&str; 3] = ["null", "lmi", "gpushield"];
+/// The audited legs: `Gpu::run` under each mechanism, a counters-on run,
+/// and a two-kernel resident cohort.
+const LEGS: [&str; 5] = ["null", "lmi", "gpushield", "lmi+counters", "resident"];
 
 fn mechanism(name: &str) -> Box<dyn Mechanism> {
     match name {
@@ -64,28 +70,66 @@ fn mechanism(name: &str) -> Box<dyn Mechanism> {
     }
 }
 
-/// Runs the audit kernel under mechanism `mech` and returns
-/// `(heap allocations, stats)`. Mechanism and GPU construction happen
-/// before the counted window.
-fn measured_run(mech: &str, iters: i32) -> (u64, SimStats) {
+/// Runs leg `leg` of the audit kernel and returns `(heap allocations,
+/// stats)` (for the cohort, the first kernel's stats). Mechanism, GPU,
+/// sink and launch construction happen before the counted window.
+fn measured_run(leg: &str, iters: i32) -> (u64, SimStats) {
     let mut gpu = Gpu::new(GpuConfig::small());
-    let mut mech = mechanism(mech);
     let launch = audit_launch(iters);
-    let before = CountingAlloc::allocations();
-    let stats = gpu.run(&launch, mech.as_mut());
-    (CountingAlloc::allocations() - before, stats)
+    match leg {
+        "lmi+counters" => {
+            let mut mech = LmiMechanism::default_config();
+            let mut sink = TelemetrySink::counters_only();
+            let before = CountingAlloc::allocations();
+            let stats = gpu.run_with_telemetry(&launch, &mut mech, &mut sink);
+            (CountingAlloc::allocations() - before, stats)
+        }
+        "resident" => {
+            // Two kernels on the two halves of the GPU, the second
+            // admitted later, each with two blocks per SM.
+            let half = audit_launch(iters).grid(8);
+            let (mut lmi, mut null) = (LmiMechanism::default_config(), NullMechanism);
+            let mut jobs = [
+                ResidentKernel {
+                    launch: &half,
+                    mechanism: &mut lmi,
+                    heap: None,
+                    partition: 0..4,
+                    start_offset: 0,
+                },
+                ResidentKernel {
+                    launch: &half,
+                    mechanism: &mut null,
+                    heap: None,
+                    partition: 4..8,
+                    start_offset: 100,
+                },
+            ];
+            let mut sink = TelemetrySink::disabled();
+            let before = CountingAlloc::allocations();
+            let outcome = gpu.run_resident(&mut jobs, &mut sink).expect("valid cohort");
+            let allocs = CountingAlloc::allocations() - before;
+            (allocs, outcome.kernels.into_iter().next().expect("two kernels").stats)
+        }
+        mech => {
+            let mut mech = mechanism(mech);
+            let before = CountingAlloc::allocations();
+            let stats = gpu.run(&launch, mech.as_mut());
+            (CountingAlloc::allocations() - before, stats)
+        }
+    }
 }
 
 #[test]
 fn cycle_loop_is_allocation_free_after_warmup() {
     const N: i32 = 400;
-    for mech in MECHANISMS {
+    for leg in LEGS {
         // Warm-up: absorbs lazy process-wide state (TLS, allocator
         // internals) so the measured pair sees identical setup.
-        let _ = measured_run(mech, N);
+        let _ = measured_run(leg, N);
 
-        let (allocs_n, stats_n) = measured_run(mech, N);
-        let (allocs_2n, stats_2n) = measured_run(mech, 2 * N);
+        let (allocs_n, stats_n) = measured_run(leg, N);
+        let (allocs_2n, stats_2n) = measured_run(leg, 2 * N);
 
         assert!(!stats_n.violated() && !stats_2n.violated(), "audit kernel is violation-free");
         assert!(
@@ -97,7 +141,7 @@ fn cycle_loop_is_allocation_free_after_warmup() {
         assert_eq!(
             allocs_n,
             allocs_2n,
-            "heap allocations grew with cycle count under {mech}: {allocs_n} for {N} \
+            "heap allocations grew with cycle count under {leg}: {allocs_n} for {N} \
              iterations vs {allocs_2n} for {} — the cycle loop allocated in steady state",
             2 * N,
         );

@@ -24,11 +24,17 @@ use std::fmt::Debug;
 
 use lmi_alloc::AlignmentPolicy;
 use lmi_core::PtrConfig;
-use lmi_isa::{abi, HintBits, Instruction, MemRef, ProgramBuilder, Reg};
+use lmi_isa::instr::CmpOp;
+use lmi_isa::op::SpecialReg;
+use lmi_isa::{
+    abi, HintBits, Instruction, MemRef, Opcode, PredReg, Predicate, ProgramBuilder, Reg,
+};
 use lmi_mem::layout;
 use lmi_runtime::{MetricsSnapshot, Runtime, Session};
-use lmi_sim::{Gpu, GpuConfig, Launch, LmiMechanism, Mechanism, NullMechanism, SimStats};
-use lmi_telemetry::{SplitMix64, TelemetrySink};
+use lmi_sim::{
+    Gpu, GpuConfig, Launch, LmiMechanism, Mechanism, NullMechanism, ResidentKernel, SimStats,
+};
+use lmi_telemetry::{Scope, SplitMix64, TelemetrySink};
 use lmi_workloads::{all_workloads, prepare, prepare_in, runtime_mixes, TrafficMix, WorkloadSpec};
 
 /// FNV-1a over `value`'s `Debug` rendering.
@@ -82,16 +88,27 @@ fn run_pinned(
     let mut sink = TelemetrySink::with_trace_capacity(1 << 14);
     let stats = gpu.run_with_telemetry(launch, mechanism, &mut sink);
     assert!(stats.cycles > 0, "kernel ran");
+    let pin = pin_of(stats.cycles, &stats, &gpu, memory, &sink);
+    (stats, pin)
+}
+
+/// The pin of a finished run: `outcome` is whatever the run returned.
+fn pin_of(
+    cycles: u64,
+    outcome: &impl Debug,
+    gpu: &Gpu,
+    memory: &[(u64, u64)],
+    sink: &TelemetrySink,
+) -> Pin {
     let counters: Vec<_> = sink.counters.iter().collect();
     let trace: Vec<_> = sink.tracer.records().collect();
-    let pin = Pin {
-        cycles: stats.cycles,
-        stats: digest(&stats),
+    Pin {
+        cycles,
+        stats: digest(outcome),
         memory: digest(&gpu.snapshot(memory)),
         counters: digest(&counters),
         trace: digest(&trace),
-    };
-    (stats, pin)
+    }
 }
 
 fn workload(name: &str) -> WorkloadSpec {
@@ -634,5 +651,208 @@ fn fast_forward_skips_identically_across_thread_counts() {
          ({} scoreboard stalls vs {} issues)",
         stats.stalls.scoreboard,
         stats.issued,
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Engine edge cases: SMs with nothing to issue for long stretches (before
+// admission, after completion, at a barrier), profiler samples landing in
+// those stretches, and a counter key created with a zero value.
+
+/// Every thread stores its tid to `base + 4 * tid`.
+fn store_tids(name: &str) -> lmi_isa::Program {
+    let mut b = ProgramBuilder::new(name);
+    b.push(Instruction::s2r(Reg(0), SpecialReg::TidX));
+    b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+    b.push(Instruction::lea64(Reg(6), Reg(4), Reg(0), 2));
+    b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(0)));
+    b.push(Instruction::exit());
+    b.build()
+}
+
+/// `chain` dependent MUFUs, then every thread stores its tid.
+fn mufu_then_store(chain: usize) -> lmi_isa::Program {
+    let mut b = ProgramBuilder::new("mufu-store");
+    for _ in 0..chain {
+        b.push(Instruction::float2(Opcode::Mufu, Reg(8), Reg(8), Reg(8)));
+    }
+    b.push(Instruction::s2r(Reg(0), SpecialReg::TidX));
+    b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+    b.push(Instruction::lea64(Reg(6), Reg(4), Reg(0), 2));
+    b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(8)));
+    b.push(Instruction::exit());
+    b.build()
+}
+
+#[test]
+fn staggered_resident_cohorts_are_bit_identical() {
+    // Three kernels on disjoint partitions of the 8-SM config, admitted at
+    // cycles 0, 400 and 1500: the late partitions idle until admission,
+    // and the first kernel finishes long before the last one starts.
+    let base = layout::GLOBAL_BASE + 0xD0000;
+    let short = Launch::new(store_tids("short")).grid(2).block(64).param(base);
+    let chain = Launch::new(mufu_then_store(24)).grid(3).block(96).param(base + 0x1000);
+    let late = Launch::new(store_tids("late")).grid(6).block(128).param(base + 0x2000);
+    let mut mechs = [
+        LmiMechanism::default_config(),
+        LmiMechanism::default_config(),
+        LmiMechanism::default_config(),
+    ];
+    let [m0, m1, m2] = &mut mechs;
+    let mut jobs = [
+        ResidentKernel {
+            launch: &short,
+            mechanism: m0,
+            heap: None,
+            partition: 0..2,
+            start_offset: 0,
+        },
+        ResidentKernel {
+            launch: &chain,
+            mechanism: m1,
+            heap: None,
+            partition: 2..5,
+            start_offset: 400,
+        },
+        ResidentKernel {
+            launch: &late,
+            mechanism: m2,
+            heap: None,
+            partition: 5..8,
+            start_offset: 1500,
+        },
+    ];
+    let mut gpu = Gpu::new(GpuConfig::small());
+    let mut sink = TelemetrySink::with_trace_capacity(1 << 14);
+    let outcome = gpu.run_resident(&mut jobs, &mut sink).unwrap();
+    let [a, b, c] = [0, 1, 2].map(|k| outcome.kernels[k].completed_at);
+    assert!(a < 400 && b < 1500 && c > 1500, "staggered admission: {a} {b} {c}");
+    let pin = pin_of(outcome.makespan, &outcome, &gpu, &[(base, 0x3000)], &sink);
+    check(
+        "staggered cohort",
+        &[("staggered".into(), pin)],
+        &[Pin {
+            cycles: 1542,
+            stats: 0xd9a8ef6aef9850b9,
+            memory: 0x44fcd46d95679b5c,
+            counters: 0x4074ee98a1e655ba,
+            trace: 0xb2261f5574618269,
+        }],
+    );
+}
+
+/// Warp `w` of each block runs `8 * w` dependent MUFUs before the block
+/// barrier, so early warps wait at it for hundreds of cycles; then every
+/// thread stores its tid.
+fn skewed_barrier() -> Launch {
+    let mut b = ProgramBuilder::new("bar-skew");
+    b.push(Instruction::s2r(Reg(0), SpecialReg::WarpId));
+    b.push(Instruction::int2(Opcode::Shl, Reg(1), Reg(0), 3));
+    b.push(Instruction::mov(Reg(2), 0));
+    let top = b.label();
+    b.push(Instruction::isetp(PredReg(0), Reg(2), CmpOp::Lt, Reg(1)));
+    let out = b.forward_branch_if(PredReg(0), true);
+    b.push(Instruction::float2(Opcode::Mufu, Reg(8), Reg(8), Reg(8)));
+    b.push(Instruction::iadd3(Reg(2), Reg(2), 1));
+    b.branch(top);
+    b.bind(out);
+    b.push(Instruction::bar());
+    b.push(Instruction::s2r(Reg(0), SpecialReg::TidX));
+    b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+    b.push(Instruction::lea64(Reg(6), Reg(4), Reg(0), 2));
+    b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(0)));
+    b.push(Instruction::exit());
+    Launch::new(b.build()).grid(6).block(256).param(layout::GLOBAL_BASE + 0xE0000)
+}
+
+#[test]
+fn skewed_barrier_arrivals_are_bit_identical() {
+    let launch = skewed_barrier();
+    let memory = [(layout::GLOBAL_BASE + 0xE0000, 1024)];
+    let (stats, pin) = run_pinned(GpuConfig::small(), &launch, &mut NullMechanism, &memory);
+    assert!(stats.cycles > 7 * 8 * 2 * u64::from(GpuConfig::small().fpu_latency));
+    check(
+        "skewed barrier",
+        &[("bar-skew".into(), pin)],
+        &[Pin {
+            cycles: 599,
+            stats: 0xc7ab36f2d4c4eb1c,
+            memory: 0x167fdf51a34d04f1,
+            counters: 0xf9fbf89715f94cda,
+            trace: 0xeb16be6302ad2635,
+        }],
+    );
+}
+
+#[test]
+fn samples_inside_idle_stretches_are_bit_identical() {
+    // A period of 7 puts profiler samples on cycles where SMs wait at a
+    // barrier, on a long scoreboard stall, or have retired every warp.
+    let cfg = GpuConfig::small().with_sample_period(7);
+    let chain = Launch::new(mufu_then_store(40)).grid(5).block(64).param(layout::GLOBAL_BASE);
+    let got: Vec<(String, Pin)> = [("bar-skew", skewed_barrier()), ("mufu-chain", chain)]
+        .into_iter()
+        .map(|(name, launch)| {
+            let (stats, pin) = run_pinned(cfg, &launch, &mut NullMechanism, &[]);
+            assert!(stats.profile.samples() > 0, "{name}: sampled");
+            (name.to_string(), pin)
+        })
+        .collect();
+    check(
+        "sampled idle stretches",
+        &got,
+        &[
+            Pin {
+                cycles: 599,
+                stats: 0x9330fbc2e7e11f0d,
+                memory: 0x85d0cad77e171953,
+                counters: 0xf9fbf89715f94cda,
+                trace: 0xeb16be6302ad2635,
+            }, // bar-skew
+            Pin {
+                cycles: 341,
+                stats: 0xc1802355bbbfcfb9,
+                memory: 0x85d0cad77e171953,
+                counters: 0xe775f9fd58ae6326,
+                trace: 0x7ca8c953d9815d03,
+            }, // mufu-chain
+        ],
+    );
+}
+
+#[test]
+fn empty_predicated_memory_ops_keep_their_counter_keys() {
+    // `@P0 STG` with P0 false on every lane issues with no lane and no
+    // line: it charges zero transactions, which still creates each SM's
+    // `transactions` counter at zero.
+    let base = layout::GLOBAL_BASE + 0xF0000;
+    let mut b = ProgramBuilder::new("empty-mask");
+    b.push(Instruction::s2r(Reg(0), SpecialReg::TidX));
+    b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+    b.push(Instruction::isetp(PredReg(0), Reg(0), CmpOp::Lt, 0));
+    b.push(
+        Instruction::stg(MemRef::new(Reg(4), 0, 4), Reg(0)).with_pred(Predicate::when(PredReg(0))),
+    );
+    b.push(Instruction::exit());
+    let launch = Launch::new(b.build()).grid(8).block(64).param(base);
+    let mut gpu = Gpu::new(GpuConfig::small());
+    let mut sink = TelemetrySink::counters_only();
+    let stats = gpu.run_with_telemetry(&launch, &mut NullMechanism, &mut sink);
+    assert_eq!(stats.transactions, 0);
+    assert!(
+        sink.counters.iter().any(|(s, n, v)| s == Scope::Sm(0) && n == "transactions" && v == 0),
+        "zero-valued transactions key"
+    );
+    let pin = pin_of(stats.cycles, &stats, &gpu, &[(base, 64)], &sink);
+    check(
+        "empty-mask store",
+        &[("empty-mask".into(), pin)],
+        &[Pin {
+            cycles: 24,
+            stats: 0xc57e0b58ba0ba178,
+            memory: 0x74445789638da5d3,
+            counters: 0xe89bd766357482ad,
+            trace: 0x09612b07b5ecb5a5,
+        }],
     );
 }
