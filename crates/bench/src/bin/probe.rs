@@ -80,7 +80,9 @@ fn main() {
     let mut launch = lmi_prep.launch.clone();
     launch.phase = 0;
     let mut gpu = Gpu::new(GpuConfig::small());
-    let stats = gpu.run_with_telemetry(&launch, &mut LmiMechanism::default_config(), &mut sink);
+    let stats = gpu
+        .launch(&launch, &mut LmiMechanism::default_config(), &mut sink)
+        .expect("the probe launch is valid");
     let c = stats.cycles;
     opts.write_trace(&sink.tracer.chrome_trace());
 

@@ -2,17 +2,14 @@
 //!
 //! Replays one of the canned `lmi_workloads::runtime_mixes()` through the
 //! `lmi-runtime` scheduler with the cycle-driven sampling profiler
-//! enabled, then renders `Session::metrics_snapshot()` three ways:
+//! enabled, then renders `Session::metrics_snapshot()` two ways:
 //!
 //! * **human** (default) — per-kernel top-K hot PCs with disassembly,
 //!   the warp-state/stall breakdown, session latency tails, and the
 //!   per-tenant SLO table;
-//! * `--prom` — Prometheus text exposition of every counter, histogram
-//!   and profile (scrape-file format);
 //! * `--json` — the standard report envelope (pipeable to `jsonlint`).
 //!
-//! Usage: `profile [--quick] [--mix NAME] [--period N] [--top K]
-//!                 [--prom | --json]`
+//! Usage: `profile [--quick] [--mix NAME] [--period N] [--top K] [--json]`
 //!
 //! * `--quick`  — 8-SM config (CI smoke); default is the 80-SM Table IV.
 //! * `--mix`    — traffic mix name (default `quad-stream`, the
@@ -145,7 +142,6 @@ fn human_report(
 fn main() {
     let opts = ReportOpts::from_env();
     let mut quick = false;
-    let mut prom = false;
     let mut mix_name = "quad-stream".to_string();
     let mut period = 64u64;
     let mut top_k = 5usize;
@@ -153,7 +149,6 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--prom" => prom = true,
             "--mix" => mix_name = it.next().expect("--mix needs a name").clone(),
             "--period" => {
                 period = it.next().expect("--period needs a value").parse().expect("cycle count")
@@ -171,10 +166,6 @@ fn main() {
     let cfg = base.with_sample_period(period);
     let (snap, programs) = run_profiled(&mix, cfg);
 
-    if prom {
-        print!("{}", snap.to_prometheus());
-        return;
-    }
     if opts.json {
         let doc = report::envelope(
             "profile",

@@ -93,12 +93,12 @@ fn launch_at(
     mechanism: &mut dyn Mechanism,
     point: EnginePoint,
 ) -> SimStats {
-    if point.traced {
-        let mut sink = TelemetrySink::with_trace_capacity(TRACE_CAPACITY);
-        gpu.run_with_telemetry(launch, mechanism, &mut sink)
+    let mut sink = if point.traced {
+        TelemetrySink::with_trace_capacity(TRACE_CAPACITY)
     } else {
-        gpu.run(launch, mechanism)
-    }
+        TelemetrySink::disabled()
+    };
+    gpu.launch(launch, mechanism, &mut sink).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Oracle configuration: which mechanisms and engine points to run, and an

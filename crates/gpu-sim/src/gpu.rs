@@ -1,7 +1,9 @@
 //! The full GPU: SMs, the shared memory hierarchy, the device heap, and the
-//! run loop — plus the resident multi-kernel mode used by `lmi-runtime` to
-//! run kernels from different streams/tenants concurrently on disjoint SM
-//! partitions.
+//! run entry points. [`Gpu::run_resident`] is the one body that builds SMs
+//! and drives the cycle engine: it runs a cohort of kernels from different
+//! streams/tenants concurrently on disjoint SM partitions (`lmi-runtime`'s
+//! primitive), and [`Gpu::launch`]/[`Gpu::run`] run a single kernel as a
+//! one-member cohort spanning every SM.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -191,117 +193,34 @@ impl Gpu {
     /// # Panics
     ///
     /// Panics if the launch is invalid ([`Launch::validate`]) — use
-    /// [`Gpu::try_run`] to get the typed [`LaunchError`] instead.
+    /// [`Gpu::launch`] to get the typed [`LaunchError`] instead.
     pub fn run(&mut self, launch: &Launch, mechanism: &mut dyn Mechanism) -> SimStats {
-        self.try_run(launch, mechanism).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs one kernel to completion under `mechanism`, rejecting invalid
-    /// launches with a typed [`LaunchError`] instead of panicking.
-    pub fn try_run(
-        &mut self,
-        launch: &Launch,
-        mechanism: &mut dyn Mechanism,
-    ) -> Result<SimStats, LaunchError> {
         // Forensics still flow into `SimStats::forensics` (they only cost
         // time on violations); counters and the tracer stay off.
         let mut sink = TelemetrySink::disabled();
-        self.try_run_with_telemetry(launch, mechanism, &mut sink)
+        self.launch(launch, mechanism, &mut sink).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs one kernel like [`Gpu::run`], additionally recording scoped
-    /// counters, timeline events and forensics into `sink`.
+    /// Runs one kernel to completion on every SM, recording telemetry into
+    /// `sink`; invalid launches are rejected with a typed [`LaunchError`].
     ///
-    /// # Panics
-    ///
-    /// Panics if the launch is invalid ([`Launch::validate`]) — use
-    /// [`Gpu::try_run_with_telemetry`] to get the typed [`LaunchError`].
-    pub fn run_with_telemetry(
-        &mut self,
-        launch: &Launch,
-        mechanism: &mut dyn Mechanism,
-        sink: &mut TelemetrySink,
-    ) -> SimStats {
-        self.try_run_with_telemetry(launch, mechanism, sink).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs one kernel, recording telemetry into `sink`; invalid launches
-    /// are rejected with a typed [`LaunchError`].
-    ///
-    /// The hierarchy's cache/DRAM counters persist across launches (the
-    /// host may launch several kernels against the same GPU), so the
-    /// returned [`SimStats`] carries the per-run *delta*, snapshotted
-    /// around the run loop.
-    pub fn try_run_with_telemetry(
+    /// A single kernel is a one-member cohort of [`Gpu::run_resident`]
+    /// (partition `0..num_sms`, admitted at cycle 0, on the GPU's heap),
+    /// whose run-level L2/MSHR/DRAM deltas are all this kernel's.
+    pub fn launch(
         &mut self,
         launch: &Launch,
         mechanism: &mut dyn Mechanism,
         sink: &mut TelemetrySink,
     ) -> Result<SimStats, LaunchError> {
-        launch.validate(&self.cfg)?;
-        // Lower the program to its flat decoded form exactly once; the
-        // cycle loop never decodes again. Corrupt microcode (bad ISETP
-        // immediates, unknown S2R selectors) is rejected here.
-        let stream = Arc::new(DecodedStream::lower(&launch.program)?);
-        let ctx = Arc::new(LaunchCtx {
-            params: launch.params.clone(),
-            stack_bytes: self.cfg.stack_bytes,
-            threads_per_block: launch.threads_per_block,
-            layout_tid_base: 0,
-            layout_block_base: 0,
-        });
-        let regs = launch.program.regs_per_thread.max(8) as usize;
-
-        let mut sms: Vec<Sm> = (0..self.cfg.num_sms)
-            .map(|id| Sm::new(id, Arc::clone(&stream), Arc::clone(&ctx)))
-            .collect();
-        for block in 0..launch.grid_blocks {
-            sms[block % self.cfg.num_sms].add_block(block, launch, regs);
-        }
-
-        // Snapshot the persistent hierarchy counters so the stats report
-        // this run's delta, not the GPU's lifetime totals.
-        let l1_before: Vec<CacheStats> =
-            (0..self.cfg.num_sms).map(|sm| self.l1[sm].stats()).collect();
-        let l2_before = self.hierarchy.l2_stats();
-        let mshr_before = self.hierarchy.mshr_merges();
-        let dram_before = self.hierarchy.dram_transactions();
-
-        let mut stats = SimStats::default();
-        let cycle = {
-            let mut shared = SharedCtx {
-                hierarchy: &mut self.hierarchy,
-                memory: &mut self.memory,
-                kernels: vec![KernelSlot { mechanism, stats: &mut stats, heap: &self.heap }],
-                kernel_of_sm: vec![0; self.cfg.num_sms],
-                cfg: &self.cfg,
-                sink: &mut *sink,
-            };
-            engine::run(&mut sms, self.l1.iter_mut().collect(), &mut shared)
-        };
-        stats.cycles = cycle.max(1);
-
-        let delta = |after: CacheStats, before: CacheStats| CacheStats {
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-        };
-        stats.l1_per_sm =
-            (0..self.cfg.num_sms).map(|sm| delta(self.l1[sm].stats(), l1_before[sm])).collect();
-        stats.l2 = delta(self.hierarchy.l2_stats(), l2_before);
-        stats.mshr_merges = self.hierarchy.mshr_merges() - mshr_before;
-        stats.dram_transactions = self.hierarchy.dram_transactions() - dram_before;
-
-        if sink.counters.is_enabled() {
-            sink.counters.add(Scope::Gpu, "cycles", stats.cycles);
-            sink.counters.add(Scope::Gpu, "mshr_merges", stats.mshr_merges);
-            sink.counters.add(Scope::Gpu, "dram_transactions", stats.dram_transactions);
-            sink.counters.add(Scope::Gpu, "l2.hits", stats.l2.hits);
-            sink.counters.add(Scope::Gpu, "l2.misses", stats.l2.misses);
-            for (sm, l1) in stats.l1_per_sm.iter().enumerate() {
-                sink.counters.add(Scope::Sm(sm), "l1.hits", l1.hits);
-                sink.counters.add(Scope::Sm(sm), "l1.misses", l1.misses);
-            }
-        }
+        let partition = 0..self.cfg.num_sms;
+        let mut jobs =
+            [ResidentKernel { launch, mechanism, heap: None, partition, start_offset: 0 }];
+        let outcome = self.run_resident(&mut jobs, sink)?;
+        let mut stats = outcome.kernels.into_iter().next().expect("one kernel, one outcome").stats;
+        stats.l2 = outcome.l2;
+        stats.mshr_merges = outcome.mshr_merges;
+        stats.dram_transactions = outcome.dram_transactions;
         Ok(stats)
     }
 
@@ -309,7 +228,12 @@ impl Gpu {
     /// its own SM partition, owns its own mechanism/heap/stats, and is
     /// admitted at its `start_offset`, while all of them contend for the
     /// shared L2/MSHR/DRAM. One engine run simulates the whole cohort —
-    /// this is the primitive `lmi-runtime` builds streams on.
+    /// this is the primitive `lmi-runtime` builds streams on, and the only
+    /// place that builds SMs and drives the engine.
+    ///
+    /// The hierarchy's cache/DRAM counters persist across runs (the host
+    /// may launch several kernels against the same GPU), so the outcome
+    /// carries per-run *deltas*, snapshotted around the engine run.
     ///
     /// Every launch is validated against its partition before anything
     /// runs: on error the GPU state is untouched.
@@ -349,6 +273,9 @@ impl Gpu {
         let mut kernel_of_sm = vec![0usize; self.cfg.num_sms];
         for (k, job) in jobs.iter().enumerate() {
             let launch = job.launch;
+            // Lower the program to its flat decoded form exactly once; the
+            // cycle loop never decodes again. Corrupt microcode (bad ISETP
+            // immediates, unknown S2R selectors) is rejected here.
             let stream = Arc::new(DecodedStream::lower(&launch.program)?);
             let ctx = Arc::new(LaunchCtx {
                 params: launch.params.clone(),
@@ -358,22 +285,21 @@ impl Gpu {
                 layout_block_base: k as u64 * LAYOUT_BLOCK_STRIDE,
             });
             let regs = launch.program.regs_per_thread.max(8) as usize;
-            let mut part: Vec<Sm> = job
-                .partition
-                .clone()
-                .map(|id| Sm::new(id, Arc::clone(&stream), Arc::clone(&ctx)))
-                .collect();
+            let first = sms.len();
+            sms.extend(
+                job.partition.clone().map(|id| Sm::new(id, Arc::clone(&stream), Arc::clone(&ctx))),
+            );
+            let part = &mut sms[first..];
             let plen = part.len();
             for block in 0..launch.grid_blocks {
                 part[block % plen].add_block(block, launch, regs);
             }
-            for sm in &mut part {
+            for sm in part {
                 kernel_of_sm[sm.id] = k;
                 for warp in &mut sm.warps {
                     warp.start_cycle += job.start_offset;
                 }
             }
-            sms.extend(part);
         }
         // Canonical phase-B order is ascending SM id, independent of the
         // cohort's submission order.
@@ -404,21 +330,14 @@ impl Gpu {
                 cfg: &self.cfg,
                 sink: &mut *sink,
             };
-            // One L1 per participating SM, aligned with `sms` (both are in
+            // One L1 per claimed SM, aligned with `sms` (both are in
             // ascending SM-id order; partitions are disjoint).
-            let used: Vec<bool> = {
-                let mut used = vec![false; self.cfg.num_sms];
-                for sm in &sms {
-                    used[sm.id] = true;
-                }
-                used
-            };
             let l1s: Vec<&mut Cache> = self
                 .l1
                 .iter_mut()
-                .enumerate()
-                .filter(|(id, _)| used[*id])
-                .map(|(_, c)| c)
+                .zip(&claimed)
+                .filter(|(_, &used)| used)
+                .map(|(c, _)| c)
                 .collect();
             engine::run(&mut sms, l1s, &mut shared)
         };
@@ -490,7 +409,8 @@ mod tests {
         program.instructions[0].srcs[2] = lmi_isa::Operand::Imm(99);
         let launch = Launch::new(program);
         let mut gpu = Gpu::new(GpuConfig::small());
-        let err = gpu.try_run(&launch, &mut NullMechanism).unwrap_err();
+        let err =
+            gpu.launch(&launch, &mut NullMechanism, &mut TelemetrySink::disabled()).unwrap_err();
         assert_eq!(
             err,
             LaunchError::Decode(lmi_isa::DecodeError::BadCmpImmediate { pc: 0, value: 99 })
@@ -682,7 +602,7 @@ mod tests {
         let launch = Launch::new(b.build()).grid(4).block(64).param(base);
         let mut gpu = Gpu::new(GpuConfig::small());
         let mut sink = TelemetrySink::counters_only();
-        let stats = gpu.run_with_telemetry(&launch, &mut NullMechanism, &mut sink);
+        let stats = gpu.launch(&launch, &mut NullMechanism, &mut sink).unwrap();
         assert_eq!(sink.counters.sum_sms("issued"), stats.issued);
         assert_eq!(sink.counters.sum_sms("transactions"), stats.transactions);
         assert_eq!(sink.counters.get(Scope::Gpu, "cycles"), stats.cycles);
@@ -705,7 +625,7 @@ mod tests {
         let launch = Launch::new(b.build()).grid(2).block(64).param(base);
         let mut gpu = Gpu::new(GpuConfig::small());
         let mut sink = TelemetrySink::with_trace_capacity(1024);
-        gpu.run_with_telemetry(&launch, &mut NullMechanism, &mut sink);
+        gpu.launch(&launch, &mut NullMechanism, &mut sink).unwrap();
         use lmi_telemetry::TraceEventKind;
         let warps = sink.tracer.records().filter(|r| r.kind == TraceEventKind::WarpSpan).count();
         assert_eq!(warps, 4, "one residency span per retired warp");

@@ -119,40 +119,11 @@ impl MetricsSnapshot {
             .with("total_cycles", self.total_cycles)
             .with("tenants", Json::Arr(self.tenants.iter().map(TenantSlo::to_json).collect()))
     }
-
-    /// Prometheus text exposition: the frame plus session gauges
-    /// (`lmi_session_total_cycles`, per-tenant SLO rates).
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = self.frame.to_prometheus();
-        let _ = writeln!(out, "# TYPE lmi_session_total_cycles gauge");
-        let _ = writeln!(out, "lmi_session_total_cycles {}", self.total_cycles);
-        if !self.tenants.is_empty() {
-            let _ = writeln!(out, "# TYPE lmi_tenant_violation_rate gauge");
-            for t in &self.tenants {
-                let _ = writeln!(
-                    out,
-                    "lmi_tenant_violation_rate{{tenant=\"{}\"}} {}",
-                    t.tenant, t.violation_rate
-                );
-            }
-            let _ = writeln!(out, "# TYPE lmi_tenant_rejection_rate gauge");
-            for t in &self.tenants {
-                let _ = writeln!(
-                    out,
-                    "lmi_tenant_rejection_rate{{tenant=\"{}\"}} {}",
-                    t.tenant, t.rejection_rate
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmi_telemetry::parse_prometheus;
 
     fn frame_with_tenant_activity() -> MetricsFrame {
         let mut f = MetricsFrame::default();
@@ -180,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff_and_exports_stay_consistent() {
+    fn snapshot_diff_and_json_export_stay_consistent() {
         let a = MetricsSnapshot {
             frame: frame_with_tenant_activity(),
             total_cycles: 1000,
@@ -198,10 +169,8 @@ mod tests {
         assert_eq!(d.total_cycles, 1500);
         assert_eq!(d.tenants[0].kernels, 1);
         assert_eq!(d.tenants[0].exec_max, 900, "only the new kernel remains");
-        // Both exports of the delta parse.
-        let json = d.to_json().to_compact();
-        assert!(lmi_telemetry::json::parse(&json).is_ok());
-        let samples = parse_prometheus(&d.to_prometheus()).unwrap();
-        assert!(samples.iter().any(|s| s.name == "lmi_session_total_cycles" && s.value == 1500.0));
+        // The JSON export of the delta parses and carries the framing.
+        let json = lmi_telemetry::json::parse(&d.to_json().to_compact()).unwrap();
+        assert_eq!(json.get("total_cycles").and_then(Json::as_u64), Some(1500));
     }
 }

@@ -31,7 +31,7 @@ use lmi_alloc::AllocError;
 use lmi_core::DevicePtr;
 use lmi_sim::{Gpu, GpuConfig, Launch, LaunchError, ResidentKernel, SimStats};
 use lmi_telemetry::{
-    CounterRegistry, EventTracer, HistogramRegistry, Json, KernelProfile, MetricsFrame, Scope,
+    CounterRegistry, EventTracer, HistogramRegistry, KernelProfile, MetricsFrame, Scope,
     TelemetrySink, TraceEventKind,
 };
 
@@ -142,45 +142,6 @@ pub struct RuntimeReport {
     /// Cycle at which the last queued op finished (the makespan of the
     /// whole submitted program).
     pub total_cycles: u64,
-}
-
-impl RuntimeReport {
-    /// Machine-readable export (used by `runtimebench --json`).
-    pub fn to_json(&self) -> Json {
-        let kernels = self
-            .kernels
-            .iter()
-            .map(|k| {
-                Json::obj()
-                    .with("stream", k.stream as u64)
-                    .with("tenant", k.tenant as u64)
-                    .with("name", k.name.as_str())
-                    .with("sm_first", k.partition.start as u64)
-                    .with("sm_count", k.partition.len() as u64)
-                    .with("started_at", k.started_at)
-                    .with("completed_at", k.completed_at)
-                    .with("cycles", k.stats.cycles)
-                    .with("violations", k.stats.violations.len() as u64)
-            })
-            .collect();
-        let copies = self
-            .copies
-            .iter()
-            .map(|c| {
-                Json::obj()
-                    .with("stream", c.stream as u64)
-                    .with("tenant", c.tenant as u64)
-                    .with("dir", if c.h2d { "h2d" } else { "d2h" })
-                    .with("bytes", c.bytes)
-                    .with("started_at", c.started_at)
-                    .with("completed_at", c.completed_at)
-            })
-            .collect();
-        Json::obj()
-            .with("total_cycles", self.total_cycles)
-            .with("kernels", Json::Arr(kernels))
-            .with("copies", Json::Arr(copies))
-    }
 }
 
 /// The asynchronous host runtime (the `cudaStream_t` layer of the

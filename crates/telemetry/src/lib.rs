@@ -23,8 +23,7 @@
 //!   hot-PC tables and warp-state occupancy profiles filled by the
 //!   engine's cycle-driven sampling hook;
 //! * [`export`] — [`MetricsFrame`], a diffable snapshot of every counter,
-//!   histogram and profile, rendered as Prometheus text exposition or as
-//!   a JSON document.
+//!   histogram and profile, rendered as a JSON document.
 //!
 //! The crate depends only on `std`, so every other crate — including the
 //! leaf ISA crate — can use it from tests without dependency cycles.
@@ -37,7 +36,7 @@ pub mod profiler;
 pub mod registry;
 pub mod tracer;
 
-pub use export::{parse_prometheus, MetricsFrame, PromSample};
+pub use export::MetricsFrame;
 pub use forensics::{FaultEvent, ForensicsLog, ForensicsRecord, PoisonEvent};
 pub use json::Json;
 pub use prng::SplitMix64;

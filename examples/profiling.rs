@@ -2,7 +2,7 @@
 //! run a two-tenant traffic mix, and read the session's metrics surface —
 //! latency histograms with tail quantiles, per-kernel hot-PC profiles
 //! with warp-state breakdowns, the per-tenant SLO table, and the same
-//! numbers re-rendered as a Prometheus exposition and a JSON snapshot.
+//! numbers re-rendered as a JSON snapshot.
 //!
 //! Sampling is driven by *simulated* cycles (here every 64), so the
 //! profile below is bit-identical from run to run.
@@ -11,7 +11,7 @@
 
 use lmi::runtime::Session;
 use lmi::sim::GpuConfig;
-use lmi::telemetry::{parse_prometheus, Scope, WARP_STATE_NAMES};
+use lmi::telemetry::{json, Scope, WARP_STATE_NAMES};
 use lmi::workloads::{prepare_in, runtime_mixes};
 
 fn main() {
@@ -88,16 +88,13 @@ fn main() {
         );
     }
 
-    // 4. Exports: the same snapshot renders as Prometheus text exposition
-    //    (scrapeable) and JSON — and the exposition round-trips through
-    //    the crate's own parser with the same values.
-    let samples = parse_prometheus(&snap.to_prometheus()).unwrap();
-    let cycles = samples.iter().find(|s| s.name == "lmi_session_total_cycles").unwrap();
-    assert_eq!(cycles.value, snap.total_cycles as f64);
+    // 4. Export: the same snapshot renders as JSON, which round-trips
+    //    through the crate's own parser with the same values.
+    let text = snap.to_json().to_compact();
+    let doc = json::parse(&text).unwrap();
+    assert_eq!(doc.get("total_cycles").and_then(|v| v.as_u64()), Some(snap.total_cycles));
     println!(
-        "\nexports: {} Prometheus samples, {} bytes of JSON — \
-         try `profile --quick` for the full report bin",
-        samples.len(),
-        snap.to_json().to_compact().len()
+        "\nexport: {} bytes of JSON — try `profile --quick` for the full report bin",
+        text.len()
     );
 }

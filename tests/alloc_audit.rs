@@ -9,8 +9,8 @@
 //! The audit installs a counting `#[global_allocator]` and runs the same
 //! seeded multi-SM workload at `N` and `2N` loop iterations on fresh GPUs:
 //! through `Gpu::run` under every simulator mechanism (null, LMI,
-//! GPUShield), through `Gpu::run_with_telemetry` with the counter registry
-//! recording, and as a two-kernel `Gpu::run_resident` cohort.
+//! GPUShield), through `Gpu::launch` with the counter registry recording,
+//! and as a two-kernel `Gpu::run_resident` cohort.
 //! Doubling the simulated cycle count must leave the total allocation
 //! count **exactly equal**: any per-cycle allocation would show up as a
 //! difference proportional to the extra cycles. A warm-up run first
@@ -81,7 +81,7 @@ fn measured_run(leg: &str, iters: i32) -> (u64, SimStats) {
             let mut mech = LmiMechanism::default_config();
             let mut sink = TelemetrySink::counters_only();
             let before = CountingAlloc::allocations();
-            let stats = gpu.run_with_telemetry(&launch, &mut mech, &mut sink);
+            let stats = gpu.launch(&launch, &mut mech, &mut sink).unwrap();
             (CountingAlloc::allocations() - before, stats)
         }
         "resident" => {

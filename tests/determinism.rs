@@ -19,6 +19,10 @@
 //! is FNV-1a over the value's `Debug` rendering. On a mismatch the test
 //! prints the new values ready to paste; re-pinning is only right for a
 //! change that is meant to move simulated outputs.
+//!
+//! Test names ending in `_across_thread_counts` or `_bank_invariant` name
+//! the old engine's configurations their pins were taken across; no test
+//! here varies a thread or bank count, since the engine has neither.
 
 use std::fmt::Debug;
 
@@ -86,7 +90,7 @@ fn run_pinned(
 ) -> (SimStats, Pin) {
     let mut gpu = Gpu::new(cfg);
     let mut sink = TelemetrySink::with_trace_capacity(1 << 14);
-    let stats = gpu.run_with_telemetry(launch, mechanism, &mut sink);
+    let stats = gpu.launch(launch, mechanism, &mut sink).unwrap();
     assert!(stats.cycles > 0, "kernel ran");
     let pin = pin_of(stats.cycles, &stats, &gpu, memory, &sink);
     (stats, pin)
@@ -837,7 +841,7 @@ fn empty_predicated_memory_ops_keep_their_counter_keys() {
     let launch = Launch::new(b.build()).grid(8).block(64).param(base);
     let mut gpu = Gpu::new(GpuConfig::small());
     let mut sink = TelemetrySink::counters_only();
-    let stats = gpu.run_with_telemetry(&launch, &mut NullMechanism, &mut sink);
+    let stats = gpu.launch(&launch, &mut NullMechanism, &mut sink).unwrap();
     assert_eq!(stats.transactions, 0);
     assert!(
         sink.counters.iter().any(|(s, n, v)| s == Scope::Sm(0) && n == "transactions" && v == 0),

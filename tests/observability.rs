@@ -10,9 +10,8 @@
 //!   reports — the two observability paths cannot drift apart.
 //! * **Profiler/metrics contract**: histogram merge is associative and
 //!   order-independent; sampling off changes no existing stats; and the
-//!   Prometheus exposition (what `profile --prom`
-//!   prints) round-trips against the JSON snapshot (what `profile --json`
-//!   prints), name for name, label for label, value for value.
+//!   JSON snapshot (what `profile --json` prints) round-trips against the
+//!   metrics frame, name for name, scope for scope, value for value.
 
 use lmi::compiler::ir::{Function, FunctionBuilder, IBinOp, Region, Ty};
 use lmi::compiler::{compile, CompileOptions};
@@ -20,8 +19,7 @@ use lmi::core::{DevicePtr, PtrConfig};
 use lmi::mem::layout;
 use lmi::runtime::{MetricsSnapshot, Session};
 use lmi::sim::{Gpu, GpuConfig, Launch, LmiMechanism};
-use lmi::telemetry::export::metric_name;
-use lmi::telemetry::{json, parse_prometheus, Histogram, Scope, SplitMix64, TelemetrySink};
+use lmi::telemetry::{json, Histogram, Scope, SplitMix64, TelemetrySink};
 use lmi::workloads::{prepare_in, runtime_mixes, TrafficMix};
 
 /// A random-but-safe straight-line kernel: a few strided global accesses,
@@ -73,7 +71,7 @@ fn run_telemetered_on(
     for i in 0..1024u64 {
         gpu.memory.write(base_addr + i * 4, i.wrapping_mul(2654435761), 4);
     }
-    gpu.run_with_telemetry(&launch, &mut LmiMechanism::default_config(), sink)
+    gpu.launch(&launch, &mut LmiMechanism::default_config(), sink).unwrap()
 }
 
 fn run_telemetered(kernel: &Function, sink: &mut TelemetrySink) -> lmi::sim::SimStats {
@@ -254,72 +252,53 @@ fn sampling_disabled_changes_no_existing_stats() {
 }
 
 #[test]
-fn prometheus_exposition_round_trips_against_the_json_snapshot() {
-    // What `profile --prom` prints is `snap.to_prometheus()` and what
-    // `profile --json` wraps is `snap.to_json()`; parsing the former and
-    // walking the latter must yield the same numbers, name for name,
-    // label for label, value for value.
+fn json_snapshot_round_trips_against_the_metrics_frame() {
+    // What `profile --json` wraps is `snap.to_json()`; parsing its text
+    // back and walking it must yield the frame's numbers, name for name,
+    // scope for scope, value for value.
     let mix = mix_named("dual-tenant");
     let snap = run_traffic_session(&mix, 64);
     assert!(!snap.frame.is_empty());
-    let samples = parse_prometheus(&snap.to_prometheus()).expect("exposition must parse");
-    let doc = snap.to_json();
-    let find = |name: &str, labels: &[(&str, &str)]| -> f64 {
-        samples
-            .iter()
-            .find(|s| s.name == name && labels.iter().all(|(k, v)| s.label(k) == Some(*v)))
-            .unwrap_or_else(|| panic!("sample {name} {labels:?} missing from exposition"))
-            .value
-    };
+    let doc = json::parse(&snap.to_json().to_compact()).expect("snapshot JSON must parse");
 
-    // Every counter appears in both renderings with the same value.
+    // Every counter appears under its scope with the same value.
     let counters_json = doc.get("counters").expect("counters");
     for (scope, name, v) in snap.frame.counters.iter() {
         let label = scope.label();
-        assert_eq!(find(&metric_name(name), &[("scope", &label)]), v as f64, "{label}/{name}");
         let jv = counters_json.get(&label).and_then(|s| s.get(name)).and_then(|n| n.as_u64());
         assert_eq!(jv, Some(v), "JSON counter {label}/{name}");
     }
 
-    // Every histogram's count and sum agree across all three sources.
+    // Every histogram's count and sum agree.
     let hists_json = doc.get("histograms").expect("histograms");
     for (scope, name, h) in snap.frame.histograms.iter() {
         let label = scope.label();
-        let family = metric_name(name);
-        let scoped: [(&str, &str); 1] = [("scope", &label)];
-        assert_eq!(find(&format!("{family}_count"), &scoped), h.count() as f64);
-        assert_eq!(find(&format!("{family}_sum"), &scoped), h.sum() as f64);
-        assert_eq!(
-            find(&format!("{family}_bucket"), &[("scope", &label), ("le", "+Inf")]),
-            h.count() as f64
-        );
         let hj = hists_json.get(&label).and_then(|s| s.get(name)).expect("JSON histogram");
-        assert_eq!(hj.get("count").and_then(|n| n.as_u64()), Some(h.count()));
-        assert_eq!(hj.get("sum").and_then(|n| n.as_u64()), Some(h.sum()));
+        assert_eq!(hj.get("count").and_then(|n| n.as_u64()), Some(h.count()), "{label}/{name}");
+        assert_eq!(hj.get("sum").and_then(|n| n.as_u64()), Some(h.sum()), "{label}/{name}");
     }
 
     // Profiles: per-kernel sample totals and warp-state counts line up.
     let profiles_json = doc.get("profiles").expect("profiles");
     assert!(!snap.frame.profiles.is_empty());
     for (kernel, p) in &snap.frame.profiles {
-        assert_eq!(find("lmi_profile_samples", &[("kernel", kernel)]), p.samples() as f64);
         let pj = profiles_json.get(kernel).expect("JSON profile");
         assert_eq!(pj.get("samples").and_then(|n| n.as_u64()), Some(p.samples()));
+        let states = pj.get("states").expect("JSON warp states");
         for (state, &n) in lmi::telemetry::WARP_STATE_NAMES.iter().zip(&p.states()) {
-            assert_eq!(
-                find("lmi_profile_warp_state", &[("kernel", kernel), ("state", state)]),
-                n as f64,
-                "{kernel}/{state}"
-            );
+            assert_eq!(states.get(state).and_then(|v| v.as_u64()), Some(n), "{kernel}/{state}");
         }
     }
 
-    // Session framing: makespan gauge and the JSON field agree.
-    assert_eq!(find("lmi_session_total_cycles", &[]), snap.total_cycles as f64);
+    // Session framing: the makespan and one row per tenant.
     assert_eq!(doc.get("total_cycles").and_then(|n| n.as_u64()), Some(snap.total_cycles));
-    assert_eq!(
-        doc.get("tenants").expect("tenants").items().len(),
-        snap.tenants.len(),
-        "one SLO row per tenant"
-    );
+    let rows = doc.get("tenants").expect("tenants").items();
+    assert_eq!(rows.len(), snap.tenants.len(), "one SLO row per tenant");
+    for (row, t) in rows.iter().zip(&snap.tenants) {
+        let field = |key: &str| row.get(key).and_then(|v| v.as_u64());
+        assert_eq!(field("tenant"), Some(t.tenant as u64));
+        assert_eq!(field("kernels"), Some(t.kernels));
+        assert_eq!(field("rejected"), Some(t.rejected));
+        assert_eq!(field("violations"), Some(t.violations));
+    }
 }

@@ -5,7 +5,9 @@
 //!   partitions, in measurably fewer total simulated cycles than the same
 //!   submissions chained back-to-back;
 //! * a cross-tenant OOB attempt is caught by the victim-independent LMI
-//!   check and attributed to the offending stream and tenant in telemetry.
+//!   check and attributed to the offending stream and tenant in telemetry;
+//! * the canned traffic mixes keep their pinned makespans and kernel
+//!   spans on the Table IV GPU, concurrent and chained back-to-back.
 
 use lmi_core::DevicePtr;
 use lmi_isa::instr::CmpOp;
@@ -14,6 +16,7 @@ use lmi_isa::{abi, op, HintBits, Instruction, MemRef, Program, ProgramBuilder, R
 use lmi_runtime::{Runtime, RuntimeReport, SubmitError};
 use lmi_sim::{GpuConfig, Launch, LaunchError};
 use lmi_telemetry::Scope;
+use lmi_workloads::{prepare_in, runtime_mixes, TrafficMix};
 
 /// `buf[tid] += tid`, repeated `iters` times.
 fn worker(name: &str, iters: u32) -> Program {
@@ -173,4 +176,86 @@ fn oversized_launch_is_rejected_as_a_typed_error() {
     rt.launch(s, Launch::new(worker("ok", 1)).grid(1).block(32).param(buf)).unwrap();
     rt.synchronize().unwrap();
     assert_eq!(rt.report().kernels.len(), 1);
+}
+
+/// Runs one canned traffic mix on the Table IV GPU. With `serial`, each
+/// stream first waits on an event recorded after the previous stream's
+/// work, so the mix runs back-to-back.
+fn traffic_mix_run(mix: &TrafficMix, serial: bool) -> RuntimeReport {
+    let mut rt = Runtime::new(GpuConfig::table4());
+    let tenants: Vec<usize> = mix.tenants.iter().map(|&p| rt.add_tenant(p)).collect();
+    let streams: Vec<usize> =
+        mix.streams.iter().map(|t| rt.create_stream(tenants[t.tenant]).unwrap()).collect();
+    let mut chain = None;
+    for (i, traffic) in mix.streams.iter().enumerate() {
+        let spec = mix.spec_of(i);
+        let prepared = prepare_in(&spec, &mut rt.tenant_mut(tenants[traffic.tenant]).allocator);
+        let stream = streams[i];
+        if let (true, Some(prev)) = (serial, chain) {
+            rt.wait_event(stream, prev).unwrap();
+        }
+        let buf = prepared.launch.params[0];
+        let words: Vec<u64> = (0..traffic.h2d_words as u64).collect();
+        rt.memcpy_h2d(stream, buf, &words).unwrap();
+        rt.launch(stream, prepared.launch).unwrap();
+        rt.memcpy_d2h(stream, buf, traffic.d2h_bytes).unwrap();
+        if serial {
+            let ev = rt.create_event();
+            rt.record_event(stream, ev).unwrap();
+            chain = Some(ev);
+        }
+    }
+    rt.synchronize().unwrap();
+    rt.report().clone()
+}
+
+/// One kernel of a concurrent mix: `(name, sm_first, sm_count, cycles,
+/// started_at, completed_at)`.
+type KernelSpan = (&'static str, usize, usize, u64, u64, u64);
+
+/// Per mix: `(name, serial_cycles, concurrent_cycles, concurrent kernels)`.
+const MIX_PINS: [(&str, u64, u64, &[KernelSpan]); 3] = [
+    ("solo", 16769, 16769, &[("hotspot", 0, 80, 12865, 2848, 15713)]),
+    (
+        "dual-tenant",
+        41678,
+        16769,
+        &[("hotspot", 0, 40, 12865, 2848, 15713), ("bfs", 40, 40, 8938, 5696, 14634)],
+    ),
+    (
+        "quad-stream",
+        70059,
+        17721,
+        &[
+            ("hotspot", 0, 23, 7820, 1824, 9644),
+            ("bfs", 23, 23, 4747, 3648, 8395),
+            ("needle", 46, 12, 11321, 5472, 16793),
+            ("srad_v1", 58, 22, 7288, 7296, 14584),
+        ],
+    ),
+];
+
+#[test]
+fn traffic_mixes_keep_their_pinned_overlap_on_table4() {
+    let mixes = runtime_mixes();
+    assert_eq!(mixes.len(), MIX_PINS.len(), "every canned mix is pinned");
+    for (mix, &(name, serial_cycles, concurrent_cycles, spans)) in mixes.iter().zip(&MIX_PINS) {
+        assert_eq!(mix.name, name);
+        let concurrent = traffic_mix_run(mix, false);
+        let serial = traffic_mix_run(mix, true);
+        assert_eq!(serial.total_cycles, serial_cycles, "{name}: serial makespan");
+        assert_eq!(concurrent.total_cycles, concurrent_cycles, "{name}: concurrent makespan");
+        if mix.streams.len() > 1 {
+            assert!(concurrent.total_cycles < serial.total_cycles, "{name}: no overlap");
+        }
+        let got: Vec<(&str, usize, usize, u64, u64, u64)> = concurrent
+            .kernels
+            .iter()
+            .map(|k| {
+                let p = &k.partition;
+                (k.name.as_str(), p.start, p.len(), k.stats.cycles, k.started_at, k.completed_at)
+            })
+            .collect();
+        assert_eq!(got, spans, "{name}: concurrent kernel spans");
+    }
 }
